@@ -122,9 +122,9 @@ stats()
 void
 resetStats()
 {
-    stats().roundingOps.store(0, std::memory_order_relaxed);
-    stats().panelHits.store(0, std::memory_order_relaxed);
-    stats().panelMisses.store(0, std::memory_order_relaxed);
+    stats().roundingOps.reset();
+    stats().panelHits.reset();
+    stats().panelMisses.reset();
 }
 
 } // namespace engine

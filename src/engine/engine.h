@@ -117,8 +117,8 @@ constexpr int64_t kJBlock = 8;
  * registry (obs/metrics.h) under the names "engine.b_round_ops",
  * "engine.panel_hits" and "engine.panel_misses" — so they appear in
  * metrics::toJson() snapshots and bench_compare gates on them.
- * obs::Counter mimics std::atomic<uint64_t> (load / store /
- * fetch_add), so call sites are unchanged; resetStats() zeroes them.
+ * Bump them with add(), read them with load(); resetStats() zeroes
+ * them.
  *
  * roundingOps is the measurable form of the O(nnz*N) -> O(K*N)
  * B-rounding reduction: PreparedDense bumps it by rows*cols once per

@@ -82,21 +82,17 @@ roundDense(const DenseMatrix& b, Precision p)
         const int64_t e_hi = hi * b.cols();
         K.roundPanel(out + e_lo, in + e_lo, e_hi - e_lo, p);
     });
-    stats().roundingOps.fetch_add(static_cast<uint64_t>(b.size()),
-                                  std::memory_order_relaxed);
+    stats().roundingOps.add(static_cast<uint64_t>(b.size()));
     // roundPanel itself does not book elements (chunk sizes follow
     // the parallelFor decomposition); count the whole pass here,
     // definitionally against the fixed 8-wide block, so the
     // engine.simd.* totals are thread-count independent.
     const auto total = static_cast<uint64_t>(b.size());
     if (K.isa == simd::Isa::Scalar) {
-        simd::stats().tailElems.fetch_add(total,
-                                          std::memory_order_relaxed);
+        simd::stats().tailElems.add(total);
     } else if (K.isa != simd::Isa::Off) {
-        simd::stats().vectorElems.fetch_add(
-            total - total % 8, std::memory_order_relaxed);
-        simd::stats().tailElems.fetch_add(total % 8,
-                                          std::memory_order_relaxed);
+        simd::stats().vectorElems.add(total - total % 8);
+        simd::stats().tailElems.add(total % 8);
     }
     return buf;
 }
@@ -124,14 +120,13 @@ PreparedDense::PreparedDense(const DenseMatrix& b, Precision p)
                 owned = e.buf;
                 base = owned->data();
                 cached = true;
-                stats().panelHits.fetch_add(
-                    1, std::memory_order_relaxed);
+                stats().panelHits.add(1);
                 return;
             }
         }
     }
 
-    stats().panelMisses.fetch_add(1, std::memory_order_relaxed);
+    stats().panelMisses.add(1);
     owned = roundDense(b, p);
     base = owned->data();
 

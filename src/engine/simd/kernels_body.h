@@ -42,21 +42,14 @@ countSplit(int64_t n, int64_t scale)
 {
     SimdStats& s = stats();
 #if defined(DTC_SIMD_BACKEND_SCALAR)
-    s.tailElems.fetch_add(static_cast<uint64_t>(n * scale),
-                          std::memory_order_relaxed);
+    s.tailElems.add(static_cast<uint64_t>(n * scale));
 #else
     // Skip zero-sized halves: an aligned width (n % 8 == 0) costs one
-    // atomic, not two — booking is on every axpy's fast path.
-    if (n - (n & 7) > 0) {
-        s.vectorElems.fetch_add(
-            static_cast<uint64_t>((n - (n & 7)) * scale),
-            std::memory_order_relaxed);
-    }
-    if ((n & 7) > 0) {
-        s.tailElems.fetch_add(
-            static_cast<uint64_t>((n & 7) * scale),
-            std::memory_order_relaxed);
-    }
+    // add, not two — booking is on every axpy's fast path.
+    if (n - (n & 7) > 0)
+        s.vectorElems.add(static_cast<uint64_t>((n - (n & 7)) * scale));
+    if ((n & 7) > 0)
+        s.tailElems.add(static_cast<uint64_t>((n & 7) * scale));
 #endif
 }
 

@@ -243,8 +243,8 @@ stats()
 void
 resetStats()
 {
-    stats().vectorElems.store(0, std::memory_order_relaxed);
-    stats().tailElems.store(0, std::memory_order_relaxed);
+    stats().vectorElems.reset();
+    stats().tailElems.reset();
 }
 
 } // namespace simd

@@ -101,6 +101,18 @@ Histogram::reset()
     hi = 0;
 }
 
+namespace detail {
+
+unsigned
+assignCounterShard()
+{
+    static std::atomic<unsigned> next{0};
+    return next.fetch_add(1, std::memory_order_relaxed) %
+           Counter::kShards;
+}
+
+} // namespace detail
+
 namespace metrics {
 
 namespace {
@@ -230,7 +242,7 @@ reset()
     Registry& r = registry();
     std::lock_guard<std::mutex> lk(r.mu);
     for (auto& [name, c] : r.counters)
-        c.store(0);
+        c.reset();
     for (auto& [name, g] : r.gauges)
         g.set(0.0);
     for (auto& [name, h] : r.histograms)

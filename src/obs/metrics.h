@@ -17,14 +17,21 @@
  *
  * Registry entries are never destroyed, so references stay valid for
  * the life of the process; metrics::reset() zeroes values in place.
- * Counter deliberately mimics std::atomic<uint64_t>'s load / store /
- * fetch_add so existing atomic call sites keep compiling.
+ *
+ * Cost: Counter is sharded per thread (see Counter), so add() is one
+ * relaxed add on a cache line that only the calling thread writes —
+ * a counter bumped once per nonzero by every parallelFor worker does
+ * not serialize them.  A lookup by name takes the registry mutex and
+ * builds a std::string, so anything called per request or per
+ * element resolves its entries once, as above.
  *
  * Determinism: counters count *work* (elements rounded, candidates
  * evaluated, fallbacks taken), never time, so their values are
  * identical across runs, thread counts and build types — which is
- * what lets bench_compare gate on them exactly.  Histograms hold
- * wall-clock samples; only their sample *count* is deterministic.
+ * what lets bench_compare gate on them exactly.  Sharding does not
+ * change this: a read sums every shard, and integer addition is
+ * exact and order-free.  Histograms hold wall-clock samples; only
+ * their sample *count* is deterministic.
  */
 #ifndef DTC_OBS_METRICS_H
 #define DTC_OBS_METRICS_H
@@ -40,36 +47,67 @@
 namespace dtc {
 namespace obs {
 
-/** Monotonic event count (atomic; relaxed everywhere). */
+namespace detail {
+
+/** Hands out the calling thread's shard index (round-robin). */
+unsigned assignCounterShard();
+
+/** This thread's shard index, assigned on its first add(). */
+inline unsigned
+counterShard()
+{
+    thread_local unsigned shard = ~0u;
+    if (shard == ~0u)
+        shard = assignCounterShard();
+    return shard;
+}
+
+} // namespace detail
+
+/**
+ * Monotonic event count, sharded per thread.
+ *
+ * add() bumps the calling thread's own cache-line-sized shard with a
+ * relaxed atomic add, so concurrent writers never contend for a
+ * line.  Threads take shards round-robin on their first add(); past
+ * kShards threads, some share a shard, which costs contention but
+ * never accuracy.  load() sums the shards: exact once the writers
+ * are joined (e.g. after parallelFor returns), and independent of
+ * how the work was split across threads.  There is no fetch_add:
+ * no single shard holds "the previous value".
+ */
 class Counter
 {
   public:
+    static constexpr unsigned kShards = 16;
+
     void add(uint64_t n = 1)
     {
-        v.fetch_add(n, std::memory_order_relaxed);
+        shards[detail::counterShard()].v.fetch_add(
+            n, std::memory_order_relaxed);
     }
 
-    // std::atomic<uint64_t>-compatible surface (engine::Stats).
-    uint64_t
-    fetch_add(uint64_t n,
-              std::memory_order = std::memory_order_relaxed)
+    uint64_t load() const
     {
-        return v.fetch_add(n, std::memory_order_relaxed);
+        uint64_t total = 0;
+        for (const Shard& s : shards)
+            total += s.v.load(std::memory_order_relaxed);
+        return total;
     }
-    uint64_t
-    load(std::memory_order = std::memory_order_relaxed) const
+
+    /** Zeroes every shard (racing add()s may survive). */
+    void reset()
     {
-        return v.load(std::memory_order_relaxed);
-    }
-    void
-    store(uint64_t n,
-          std::memory_order = std::memory_order_relaxed)
-    {
-        v.store(n, std::memory_order_relaxed);
+        for (Shard& s : shards)
+            s.v.store(0, std::memory_order_relaxed);
     }
 
   private:
-    std::atomic<uint64_t> v{0};
+    struct alignas(64) Shard
+    {
+        std::atomic<uint64_t> v{0};
+    };
+    Shard shards[kShards];
 };
 
 /** Last-write-wins scalar (atomic double bits). */
@@ -162,26 +200,24 @@ void reset();
  * RAII phase timer: records elapsed milliseconds into the named
  * histogram at scope exit.  Pair with DTC_TRACE_SCOPE for phases
  * that should show up both in traces and in metrics snapshots.
- * The name must outlive the scope (use a string literal).
+ * The histogram is resolved before the clock starts, so the
+ * registry lookup is neither timed nor repeated at scope exit.
  */
 class ScopedTimerMs
 {
   public:
     explicit ScopedTimerMs(const char* histogram_name)
-        : name(histogram_name), t0(monotonicNowUs())
+        : hist(metrics::histogram(histogram_name)),
+          t0(monotonicNowUs())
     {
     }
-    ~ScopedTimerMs()
-    {
-        metrics::histogram(name).record(
-            (monotonicNowUs() - t0) / 1e3);
-    }
+    ~ScopedTimerMs() { hist.record((monotonicNowUs() - t0) / 1e3); }
 
     ScopedTimerMs(const ScopedTimerMs&) = delete;
     ScopedTimerMs& operator=(const ScopedTimerMs&) = delete;
 
   private:
-    const char* name;
+    Histogram& hist;
     double t0;
 };
 

@@ -100,9 +100,12 @@ checkSampledRows(const CsrMatrix& a, const DenseMatrix& b,
         static_cast<uint64_t>(rows), static_cast<uint64_t>(want));
     std::sort(sample.begin(), sample.end());
 
-    obs::metrics::counter("runtime.guard.checks").add(1);
-    obs::metrics::counter("runtime.guard.rows")
-        .add(static_cast<uint64_t>(sample.size()));
+    static obs::Counter& checks =
+        obs::metrics::counter("runtime.guard.checks");
+    static obs::Counter& rows_checked =
+        obs::metrics::counter("runtime.guard.rows");
+    checks.add(1);
+    rows_checked.add(static_cast<uint64_t>(sample.size()));
 
     const int64_t n = b.cols();
     std::vector<double> acc(static_cast<size_t>(n));
@@ -144,9 +147,11 @@ checkSampledRows(const CsrMatrix& a, const DenseMatrix& b,
         }
     }
     res.rowsChecked = static_cast<int64_t>(sample.size());
-    if (res.mismatches > 0)
-        obs::metrics::counter("runtime.guard.mismatches")
-            .add(static_cast<uint64_t>(res.mismatches));
+    if (res.mismatches > 0) {
+        static obs::Counter& mismatches =
+            obs::metrics::counter("runtime.guard.mismatches");
+        mismatches.add(static_cast<uint64_t>(res.mismatches));
+    }
     return res;
 }
 

@@ -106,12 +106,16 @@ PreparedCache::acquire(const CsrMatrix& a, Precision p)
             s.entry->a.rows() == a.rows() &&
             s.entry->a.cols() == a.cols()) {
             s.lastUse = ++tick;
-            obs::metrics::counter("serve.cache.hits").add(1);
+            static obs::Counter& hits =
+                obs::metrics::counter("serve.cache.hits");
+            hits.add(1);
             return s.entry;
         }
     }
 
-    obs::metrics::counter("serve.cache.misses").add(1);
+    static obs::Counter& misses =
+        obs::metrics::counter("serve.cache.misses");
+    misses.add(1);
     auto entry = std::make_shared<PreparedEntry>();
     entry->a = a;
     entry->precision = p;
@@ -132,7 +136,9 @@ PreparedCache::acquire(const CsrMatrix& a, Precision p)
             break;
         resident -= lru->entry->bytes;
         slots.erase(lru);
-        obs::metrics::counter("serve.cache.evictions").add(1);
+        static obs::Counter& evictions =
+            obs::metrics::counter("serve.cache.evictions");
+        evictions.add(1);
     }
     publishGauges(slots.size(), resident);
     return entry;

@@ -98,7 +98,9 @@ SpmmService::submit(MatrixHandle h, DenseMatrix b, Precision p,
                    ErrorCode::InvalidInput,
                    "serve: B has " << b.rows() << " rows, want "
                                    << h.matrix->cols());
-    obs::metrics::counter("serve.submits").add(1);
+    static obs::Counter& submits =
+        obs::metrics::counter("serve.submits");
+    submits.add(1);
 
     auto r = std::make_unique<Request>();
     r->entry = preparedCache.acquire(*h.matrix, p);
@@ -158,7 +160,9 @@ SpmmService::runBatch(MatrixHandle h,
                            "serve: B has " << b.rows()
                                            << " rows, want "
                                            << h.matrix->cols());
-            obs::metrics::counter("serve.submits").add(1);
+            static obs::Counter& submits =
+                obs::metrics::counter("serve.submits");
+            submits.add(1);
             auto r = std::make_unique<Request>();
             r->entry = entry;
             r->cacheHit = hit;
@@ -194,7 +198,9 @@ SpmmService::enqueue(std::unique_ptr<Request> r)
     {
         std::lock_guard<std::mutex> lock(qmu);
         if (static_cast<int64_t>(queue.size()) >= queueCap) {
-            obs::metrics::counter("serve.rejected").add(1);
+            static obs::Counter& rejected =
+                obs::metrics::counter("serve.rejected");
+            rejected.add(1);
             DTC_RAISE(ErrorCode::ResourceExhausted,
                       "serve: admission queue full (capacity "
                           << queueCap << ")");
@@ -307,8 +313,9 @@ SpmmService::executeSingle(std::unique_ptr<Request> r)
         const DenseMatrix& b = r->operandB();
         res.c = DenseMatrix(r->entry->a.rows(), b.cols());
         r->entry->rt->run(b, res.c, &res.report);
-        obs::metrics::histogram("serve.queue_wait_ms")
-            .record((obs::monotonicNowUs() - r->submitUs) / 1e3);
+        static obs::Histogram& queue_wait =
+            obs::metrics::histogram("serve.queue_wait_ms");
+        queue_wait.record((obs::monotonicNowUs() - r->submitUs) / 1e3);
         r->promise.set_value(std::move(res));
     } catch (...) {
         r->promise.set_exception(std::current_exception());
@@ -360,11 +367,15 @@ SpmmService::executeBatch(std::vector<std::unique_ptr<Request>> batch)
         return;
     }
 
-    obs::metrics::counter("serve.batches").add(1);
-    obs::metrics::counter("serve.batched_requests")
-        .add(static_cast<uint64_t>(live.size()));
-    obs::metrics::histogram("serve.batch_size")
-        .record(static_cast<double>(live.size()));
+    static obs::Counter& batches =
+        obs::metrics::counter("serve.batches");
+    static obs::Counter& batched_requests =
+        obs::metrics::counter("serve.batched_requests");
+    static obs::Histogram& batch_size =
+        obs::metrics::histogram("serve.batch_size");
+    batches.add(1);
+    batched_requests.add(static_cast<uint64_t>(live.size()));
+    batch_size.record(static_cast<double>(live.size()));
 
     if (live.size() == 1) {
         executeSingle(std::move(live.front()));
@@ -439,6 +450,8 @@ SpmmService::executeBatch(std::vector<std::unique_ptr<Request>> batch)
     }
 
     // Row-major split, mirroring the pack: one sweep over wide C.
+    static obs::Histogram& queue_wait =
+        obs::metrics::histogram("serve.queue_wait_ms");
     const double done = obs::monotonicNowUs();
     std::vector<SubmitResult> results(live.size());
     for (size_t i = 0; i < live.size(); ++i)
@@ -459,8 +472,7 @@ SpmmService::executeBatch(std::vector<std::unique_ptr<Request>> batch)
         res.report = report;
         res.preparedCacheHit = live[i]->cacheHit;
         res.batchSize = static_cast<int64_t>(live.size());
-        obs::metrics::histogram("serve.queue_wait_ms")
-            .record((done - live[i]->submitUs) / 1e3);
+        queue_wait.record((done - live[i]->submitUs) / 1e3);
         live[i]->promise.set_value(std::move(res));
     }
 }

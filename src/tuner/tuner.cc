@@ -136,7 +136,8 @@ tuneSpmm(const CsrMatrix& m, const TuneRequest& request,
     // Full-tuner invocations, distinct from per-candidate tallies:
     // the serving layer's warm path must leave this flat (see
     // Runtime::tune and serve::PreparedCache).
-    obs::metrics::counter("tuner.tunes").add(1);
+    static obs::Counter& tunes = obs::metrics::counter("tuner.tunes");
+    tunes.add(1);
     const std::vector<KernelKind> candidates =
         request.candidates.empty() ? defaultTuneCandidates()
                                    : request.candidates;

@@ -3,7 +3,9 @@
  * Observability layer tests: trace span nesting and thread
  * attribution, the disarmed-probe cost contract (no recording, no
  * allocation), metrics registry semantics (quantiles, reset-in-place,
- * engine::Stats absorption), the dtc-metrics-v1 JSON round-trip
+ * engine::Stats absorption, exact sharded counters under contention,
+ * thread-count-independent engine totals), the dtc-metrics-v1 JSON
+ * round-trip
  * through the obs JSON reader, and the bench_compare gate semantics
  * (exact counters, tolerated wall-clock, advisory mode).
  *
@@ -13,11 +15,19 @@
  */
 #include <gtest/gtest.h>
 
+#include <array>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/parallel.h"
+#include "common/rng.h"
+#include "datasets/generators.h"
 #include "engine/engine.h"
+#include "engine/prepared_dense.h"
+#include "engine/simd/simd.h"
+#include "kernels/kernel.h"
+#include "kernels/reference.h"
 #include "matrix/dense.h"
 #include "obs/bench_compare.h"
 #include "obs/json.h"
@@ -191,11 +201,100 @@ TEST(ObsMetrics, EngineStatsAreRegistryCounters)
     // be visible under the public metric names.
     const uint64_t before =
         obs::metrics::counterValue("engine.b_round_ops");
-    engine::stats().roundingOps.fetch_add(
-        41, std::memory_order_relaxed);
+    engine::stats().roundingOps.add(41);
     EXPECT_EQ(obs::metrics::counterValue("engine.b_round_ops"),
               before + 41);
     EXPECT_EQ(engine::stats().roundingOps.load(), before + 41);
+}
+
+TEST(ObsMetrics, ShardedCounterIsExactUnderContention)
+{
+    obs::Counter& c = obs::metrics::counter("test.obs.contended");
+    c.reset();
+    constexpr int64_t kWorkers = 4;
+    constexpr uint64_t kAddsPerWorker = 1000000;
+    {
+        ScopedNumThreads threads(static_cast<int>(kWorkers));
+        parallelFor(0, kWorkers, 1, [&](int64_t lo, int64_t hi) {
+            for (int64_t w = lo; w < hi; ++w)
+                for (uint64_t i = 0; i < kAddsPerWorker; ++i)
+                    c.add(1);
+        });
+    }
+    const uint64_t want = kWorkers * kAddsPerWorker;
+    EXPECT_EQ(c.load(), want);
+    EXPECT_EQ(obs::metrics::counterValue("test.obs.contended"), want);
+    const obs::JsonValue doc =
+        obs::json::parse(obs::metrics::toJson());
+    EXPECT_EQ(doc.at("counters").at("test.obs.contended").asNumber(),
+              static_cast<double>(want));
+
+    c.reset();
+    EXPECT_EQ(c.load(), 0u);
+    c.add(5);
+    obs::metrics::reset();
+    EXPECT_EQ(c.load(), 0u);
+    EXPECT_EQ(obs::metrics::counterValue("test.obs.contended"), 0u);
+}
+
+TEST(ObsMetrics, ShardedCounterIsExactWhenThreadsShareShards)
+{
+    // More threads than shards: some threads land on the same shard.
+    obs::Counter& c = obs::metrics::counter("test.obs.shared_shards");
+    c.reset();
+    const int num_threads = static_cast<int>(obs::Counter::kShards) + 3;
+    constexpr uint64_t kAdds = 20000;
+    std::vector<std::thread> threads;
+    for (int t = 0; t < num_threads; ++t)
+        threads.emplace_back([&] {
+            for (uint64_t i = 0; i < kAdds; ++i)
+                c.add(2);
+        });
+    for (std::thread& t : threads)
+        t.join();
+    EXPECT_EQ(c.load(), static_cast<uint64_t>(num_threads) * kAdds * 2);
+}
+
+TEST(ObsMetrics, EngineCountersAreThreadCountIndependent)
+{
+    // Pin the modes the counters depend on, so DTC_SIMD / DTC_ENGINE
+    // legs run the same check.
+    engine::ScopedEngineMode engine_on(true);
+    engine::simd::ScopedSimdMode simd(engine::simd::detectedIsa());
+    Rng rng(7);
+    const CsrMatrix m = genCommunity(1024, 8, 12.0, 0.85, rng);
+    auto kernel = makeKernel(KernelKind::Dtc);
+    ASSERT_TRUE(kernel->prepare(m).empty());
+    const int64_t n = 75; // 9 full j-blocks plus a 3-wide tail
+    DenseMatrix b(m.cols(), n);
+    b.fillRandom(rng);
+
+    // {vector_elems, tail_elems, b_round_ops} booked by one DTC
+    // compute() plus one referenceSpmmTf32 call, from a cold panel
+    // cache so each run rounds B once.
+    auto totals = [&](int num_threads) {
+        using obs::metrics::counterValue;
+        ScopedNumThreads threads(num_threads);
+        engine::clearPreparedDenseCache();
+        const std::array<uint64_t, 3> before = {
+            counterValue("engine.simd.vector_elems"),
+            counterValue("engine.simd.tail_elems"),
+            counterValue("engine.b_round_ops")};
+        DenseMatrix c(m.rows(), n);
+        kernel->compute(b, c);
+        referenceSpmmTf32(m, b, c);
+        return std::array<uint64_t, 3>{
+            counterValue("engine.simd.vector_elems") - before[0],
+            counterValue("engine.simd.tail_elems") - before[1],
+            counterValue("engine.b_round_ops") - before[2]};
+    };
+    const std::array<uint64_t, 3> one = totals(1);
+    const std::array<uint64_t, 3> four = totals(4);
+    engine::clearPreparedDenseCache();
+
+    EXPECT_EQ(one, four);
+    EXPECT_GT(one[0] + one[1], 0u);
+    EXPECT_EQ(one[2], static_cast<uint64_t>(b.size()));
 }
 
 TEST(ObsMetrics, ToJsonRoundTripsThroughReader)
