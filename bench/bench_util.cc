@@ -1,5 +1,6 @@
 #include "bench_util.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -75,6 +76,14 @@ geomean(const std::vector<double>& values)
     }
     return count > 0 ? std::exp(log_sum / static_cast<double>(count))
                      : 0.0;
+}
+
+double
+median(std::vector<double> values)
+{
+    const auto mid = values.begin() + values.size() / 2;
+    std::nth_element(values.begin(), mid, values.end());
+    return *mid;
 }
 
 PreparedKernel::PreparedKernel(KernelKind kind, const CsrMatrix& a)

@@ -62,6 +62,9 @@ std::string fmtX(double v, int digits = 2);
 /** Geometric mean of positive values (ignores non-positive). */
 double geomean(const std::vector<double>& values);
 
+/** Median (upper middle for even sizes); @p values must be non-empty. */
+double median(std::vector<double> values);
+
 /**
  * A prepared kernel bound to one matrix, with cost results cached
  * per (arch, n).
