@@ -1,6 +1,7 @@
 #include "common/parallel.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cstdlib>
 #include <exception>
 #include <limits>
@@ -30,6 +31,24 @@ class ChunkOrdinalScope
   private:
     int64_t prev;
 };
+
+/**
+ * Polls @p done, yielding the CPU between polls, until it holds or
+ * ThreadPool::kSpinMs have passed; returns whether it held.
+ */
+template <typename Done>
+bool
+spinUntil(Done done)
+{
+    const auto limit = std::chrono::steady_clock::now() +
+                       std::chrono::milliseconds(ThreadPool::kSpinMs);
+    while (!done()) {
+        if (std::chrono::steady_clock::now() >= limit)
+            return false;
+        std::this_thread::yield();
+    }
+    return true;
+}
 
 } // namespace
 
@@ -64,6 +83,7 @@ ThreadPool::ensureWorkers(int num_workers)
     DTC_ASSERT(!stopping);
     while (static_cast<int>(workers.size()) < num_workers)
         workers.emplace_back([this] { workerLoop(); });
+    spin = workers.size() < std::thread::hardware_concurrency();
 }
 
 void
@@ -87,6 +107,11 @@ ThreadPool::workerLoop()
     uint64_t seen = 0;
     std::unique_lock<std::mutex> lk(mu);
     for (;;) {
+        if (spin && !stopping && jobGeneration == seen) {
+            lk.unlock();
+            spinUntil([&] { return stopping || jobGeneration != seen; });
+            lk.lock();
+        }
         wakeCv.wait(lk,
                     [&] { return stopping || jobGeneration != seen; });
         if (stopping)
@@ -115,8 +140,10 @@ ThreadPool::run(int64_t num_tasks, int max_threads,
         return;
     // One job at a time: concurrent submitters queue up here.
     std::lock_guard<std::mutex> run_lk(runMu);
+    bool poll;
     {
         std::lock_guard<std::mutex> lk(mu);
+        poll = spin;
         job = &task;
         jobNumTasks = num_tasks;
         jobMaxWorkers = std::max(0, max_threads - 1);
@@ -130,10 +157,13 @@ ThreadPool::run(int64_t num_tasks, int max_threads,
 
     drainTasks(task, num_tasks);
 
+    const auto finished = [&] {
+        return jobCompleted == num_tasks && jobActive == 0;
+    };
+    if (poll)
+        spinUntil(finished);
     std::unique_lock<std::mutex> lk(mu);
-    doneCv.wait(lk, [&] {
-        return jobCompleted == jobNumTasks && jobActive == 0;
-    });
+    doneCv.wait(lk, finished);
     job = nullptr;
 }
 

@@ -38,12 +38,26 @@ namespace dtc {
  * the submitting thread pull task indices from a shared counter, so
  * scheduling is dynamic but the task set itself is fixed up front.
  *
+ * Idle threads poll before they block: a worker that finished a job
+ * polls for the next one, and the submitter polls for the last chunk,
+ * each for up to kSpinMs, yielding the CPU on every poll.  A blocked
+ * thread leaves its CPU idle, and waking an idle CPU — above all a
+ * virtual machine's vCPU on a loaded host — can take from microseconds
+ * to milliseconds.  Callers that alternate short serial steps (a guard
+ * check, filling the next operand) with parallel phases would pay that
+ * wake-up, at a size that varies with host load, on every phase.  Only
+ * a pool whose threads fit the hardware (workers + 1 submitter <=
+ * hardware_concurrency) polls; an oversubscribed one blocks at once.
+ *
  * Most code should not touch this class directly — use parallelFor /
  * parallelReduce, which drive the lazily-created global() pool.
  */
 class ThreadPool
 {
   public:
+    /** How long an idle thread polls before it blocks. */
+    static constexpr int kSpinMs = 50;
+
     /** Spawns @p num_workers worker threads (0 is valid). */
     explicit ThreadPool(int num_workers);
 
@@ -87,16 +101,19 @@ class ThreadPool
     std::condition_variable wakeCv;
     std::condition_variable doneCv;
     std::vector<std::thread> workers;
-    bool stopping = false;
+    /** workers + 1 <= hardware_concurrency; written under mu. */
+    bool spin = false;
 
-    // State of the in-flight job, guarded by mu except nextTask.
-    uint64_t jobGeneration = 0;
+    // Pool and in-flight job state, written under mu except nextTask;
+    // polling threads also read the atomics without mu.
+    std::atomic<bool> stopping{false};
+    std::atomic<uint64_t> jobGeneration{0};
     const std::function<void(int64_t)>* job = nullptr;
     int64_t jobNumTasks = 0;
     int jobMaxWorkers = 0;
     int jobEntered = 0;
-    int jobActive = 0;
-    int64_t jobCompleted = 0;
+    std::atomic<int> jobActive{0};
+    std::atomic<int64_t> jobCompleted{0};
     std::atomic<int64_t> nextTask{0};
 };
 

@@ -2,11 +2,13 @@
  * @file
  * Unit tests for the parallel runtime (common/parallel.h): pool
  * startup/shutdown, exception propagation out of parallelFor, nested
- * calls, the DTC_NUM_THREADS=1 fallback, and range edge cases.
+ * calls, the DTC_NUM_THREADS=1 fallback, range edge cases, and jobs
+ * arriving while idle workers poll or after they blocked.
  */
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <numeric>
 #include <set>
@@ -48,6 +50,38 @@ TEST(ThreadPool, EveryTaskRunsExactlyOnce)
     pool.run(257, 5, [&](int64_t i) { hits[i].fetch_add(1); });
     for (const auto& h : hits)
         EXPECT_EQ(h.load(), 1);
+}
+
+TEST(ThreadPool, JobsAfterIdleGapsRunEveryTaskOnce)
+{
+    // Idle workers poll for kSpinMs, then block: a job may arrive
+    // while they poll, just as they give up, or after they blocked.
+    ThreadPool pool(3);
+    for (int gap_ms : {0, ThreadPool::kSpinMs / 5, ThreadPool::kSpinMs,
+                       2 * ThreadPool::kSpinMs}) {
+        for (int round = 0; round < 2; ++round) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(gap_ms));
+            std::vector<std::atomic<int>> hits(64);
+            pool.run(64, 4, [&](int64_t i) { hits[i].fetch_add(1); });
+            for (const auto& h : hits)
+                EXPECT_EQ(h.load(), 1) << "gap " << gap_ms << " ms";
+        }
+    }
+}
+
+TEST(ThreadPool, ConcurrentSubmittersWhileWorkersPoll)
+{
+    ThreadPool pool(3);
+    std::atomic<int64_t> sums[2] = {0, 0};
+    auto submit = [&](int who) {
+        for (int job = 0; job < 50; ++job)
+            pool.run(16, 4, [&](int64_t i) { sums[who].fetch_add(i); });
+    };
+    std::thread other(submit, 1);
+    submit(0);
+    other.join();
+    EXPECT_EQ(sums[0].load(), 50 * (15 * 16 / 2));
+    EXPECT_EQ(sums[1].load(), 50 * (15 * 16 / 2));
 }
 
 TEST(ParallelFor, EmptyRangeNeverCallsBody)
