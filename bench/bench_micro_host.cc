@@ -248,72 +248,11 @@ BM_FaultPointDisarmed(benchmark::State& state)
 }
 BENCHMARK(BM_FaultPointDisarmed);
 
-// ---- engine-off vs engine-on sweeps of the host execution engine
-// (src/engine/): pre-rounded B panels, column-panel tiling, and flat
-// index lanes vs the legacy scalar loops.  Outputs are bitwise
+// ---- Scalar vs detected-ISA sweeps of the vector micro-kernel
+// backend (src/engine/simd/): Arg(1) picks the portable Isa::Scalar
+// backend (0) or the host's detected ISA (1).  Outputs are bitwise
 // identical (tests/test_engine_equivalence.cc), so these rows isolate
-// the wall-clock effect.  Args: {dense width N, engine on}.
-
-void
-BM_DtcComputeEngine(benchmark::State& state)
-{
-    const CsrMatrix& m = benchMatrix();
-    static std::unique_ptr<SpmmKernel> kernel = [&] {
-        auto k = makeKernel(KernelKind::Dtc);
-        k->prepare(m);
-        return k;
-    }();
-    const int64_t n = state.range(0);
-    engine::ScopedEngineMode mode(state.range(1) != 0);
-    Rng rng(3);
-    DenseMatrix b(m.cols(), n);
-    b.fillRandom(rng);
-    DenseMatrix c(m.rows(), n);
-    engine::clearPreparedDenseCache();
-    for (auto _ : state) {
-        kernel->compute(b, c);
-        benchmark::DoNotOptimize(c.data());
-    }
-    state.SetItemsProcessed(state.iterations() * m.nnz() * n);
-}
-BENCHMARK(BM_DtcComputeEngine)
-    ->Args({32, 0})
-    ->Args({32, 1})
-    ->Args({128, 0})
-    ->Args({128, 1})
-    ->Args({512, 0})
-    ->Args({512, 1});
-
-void
-BM_ReferenceTf32Engine(benchmark::State& state)
-{
-    const CsrMatrix& m = benchMatrix();
-    const int64_t n = state.range(0);
-    engine::ScopedEngineMode mode(state.range(1) != 0);
-    Rng rng(3);
-    DenseMatrix b(m.cols(), n);
-    b.fillRandom(rng);
-    DenseMatrix c(m.rows(), n);
-    engine::clearPreparedDenseCache();
-    for (auto _ : state) {
-        referenceSpmmTf32(m, b, c);
-        benchmark::DoNotOptimize(c.data());
-    }
-    state.SetItemsProcessed(state.iterations() * m.nnz() * n);
-}
-BENCHMARK(BM_ReferenceTf32Engine)
-    ->Args({32, 0})
-    ->Args({32, 1})
-    ->Args({128, 0})
-    ->Args({128, 1})
-    ->Args({512, 0})
-    ->Args({512, 1});
-
-// ---- SIMD-off vs SIMD-on sweeps of the vector micro-kernel backend
-// (src/engine/simd/): the engine stays on in both rows; Arg(1) picks
-// Isa::Off (dispatcher bypass, the pre-SIMD inline loops) vs the
-// host's detected ISA.  Outputs are bitwise identical
-// (tests/test_simd.cc), so these rows isolate the vectorization win.
+// the vectorization win.
 
 void
 BM_DtcComputeSimd(benchmark::State& state)
@@ -325,10 +264,9 @@ BM_DtcComputeSimd(benchmark::State& state)
         return k;
     }();
     const int64_t n = state.range(0);
-    engine::ScopedEngineMode mode(true);
     engine::simd::ScopedSimdMode simd(
         state.range(1) != 0 ? engine::simd::detectedIsa()
-                            : engine::simd::Isa::Off);
+                            : engine::simd::Isa::Scalar);
     Rng rng(3);
     DenseMatrix b(m.cols(), n);
     b.fillRandom(rng);
@@ -354,7 +292,7 @@ BM_RoundPanelSimd(benchmark::State& state)
     const int64_t n = state.range(0);
     const engine::simd::Kernels& K = engine::simd::kernelsFor(
         state.range(1) != 0 ? engine::simd::detectedIsa()
-                            : engine::simd::Isa::Off);
+                            : engine::simd::Isa::Scalar);
     Rng rng(13);
     AlignedVector<float> in(static_cast<size_t>(n));
     AlignedVector<float> out(static_cast<size_t>(n));
@@ -414,13 +352,19 @@ BENCHMARK(BM_SelectorDecision);
 
 } // namespace
 
-// ---- `--smoke` mode: a fast, self-validating engine-vs-scalar
-// comparison that writes machine-readable BENCH_engine.json.  Run by
-// the `bench_smoke` ctest so the schema and the engine's win on
-// rounding work stay checked on every build.
+// ---- `--smoke` mode: a fast, self-validating comparison of the
+// engine-routed kernels against the naive reference and of the SIMD
+// backends against each other, written as machine-readable
+// BENCH_engine.json.  Run by the `bench_smoke` ctest so the schema and
+// the engine's win on rounding work stay checked on every build.
 
 namespace {
 
+/**
+ * One result row.  The engine_off_ms / engine_on_ms columns of the
+ * dtc-bench-engine-v1 schema hold the slow and the fast arm of each
+ * comparison (see each helper for what its arms are).
+ */
 struct SmokeRow
 {
     const char* kernel;
@@ -432,33 +376,28 @@ struct SmokeRow
 };
 
 /**
- * Times @p fn engine-off (after one warm-up call) and engine-on (from
- * a cold PreparedDense cache, so the one-time panel rounding is billed
- * to the engine).  Reads the engine counters as before/after deltas
- * instead of resetting them, so the cumulative totals survive into
- * the metrics snapshot this binary writes in --smoke mode.
+ * Naive referenceSpmmTf32 (@p naive_ms, timed by the caller after a
+ * warm-up call) vs the engine-routed @p fn, timed from a cold
+ * PreparedDense cache so the one-time panel rounding is billed to the
+ * engine.  The reference rounds B per touching nonzero, reps*nnz*N
+ * roundings in all; the engine's are measured.  Reads the engine
+ * counters as before/after deltas instead of resetting them, so the
+ * cumulative totals survive into the metrics snapshot this binary
+ * writes in --smoke mode.
  */
 template <typename F>
 SmokeRow
 smokeCompare(const char* kernel_name, const CsrMatrix& m, int64_t n,
-             int reps, F&& fn)
+             int reps, double naive_ms, F&& fn)
 {
     SmokeRow row;
     row.kernel = kernel_name;
     row.n = n;
-    {
-        engine::ScopedEngineMode mode(false);
-        fn(); // warm-up: touch B/C pages once
-        row.offMs = bench::timedMs(reps, fn);
-    }
-    {
-        engine::ScopedEngineMode mode(true);
-        engine::clearPreparedDenseCache();
-        const uint64_t round0 = engine::stats().roundingOps.load();
-        row.onMs = bench::timedMs(reps, fn);
-        row.engineBRoundOps =
-            engine::stats().roundingOps.load() - round0;
-    }
+    row.offMs = naive_ms;
+    engine::clearPreparedDenseCache();
+    const uint64_t round0 = engine::stats().roundingOps.load();
+    row.onMs = bench::timedMs(reps, fn);
+    row.engineBRoundOps = engine::stats().roundingOps.load() - round0;
     row.legacyBRoundOps = static_cast<uint64_t>(reps) *
                           static_cast<uint64_t>(m.nnz()) *
                           static_cast<uint64_t>(n);
@@ -466,10 +405,9 @@ smokeCompare(const char* kernel_name, const CsrMatrix& m, int64_t n,
 }
 
 /**
- * SIMD-off vs SIMD-on timing in the engine-row shape: the engine is
- * on for both columns; "off" bypasses the vector dispatcher
- * (Isa::Off) and "on" runs the host's detected ISA backend.  The
- * rounding-op columns do not apply; both are 0.
+ * Scalar-backend vs detected-ISA timing in the engine-row shape: the
+ * "off" column runs the portable Isa::Scalar backend, "on" the host's
+ * detected ISA.  The rounding-op columns do not apply; both are 0.
  */
 template <typename F>
 SmokeRow
@@ -480,9 +418,8 @@ simdSmokeCompare(const char* kernel_name, int64_t n, int reps, F&& fn)
     row.n = n;
     row.legacyBRoundOps = 0;
     row.engineBRoundOps = 0;
-    engine::ScopedEngineMode mode(true);
     {
-        engine::simd::ScopedSimdMode simd(engine::simd::Isa::Off);
+        engine::simd::ScopedSimdMode simd(engine::simd::Isa::Scalar);
         engine::clearPreparedDenseCache();
         fn(); // warm-up: touch B/C pages, fill the panel cache
         row.offMs = bench::timedMs(reps, fn);
@@ -701,9 +638,9 @@ runEngineSmoke(const std::string& out_path,
     // Pin the SIMD backend to the detected ISA for the whole smoke
     // run: the engine.simd.* counter totals in the metrics snapshot
     // must not depend on a DTC_SIMD environment override (the CI
-    // DTC_SIMD=off leg runs this binary too), and the definitional
+    // DTC_SIMD=scalar leg runs this binary too), and the definitional
     // 8-wide counter split already makes AVX2 and AVX-512 hosts
-    // agree.  The simd_off_on rows below still force Isa::Off
+    // agree.  The simd_scalar_on rows below still force Isa::Scalar
     // locally for their "off" column.
     engine::simd::ScopedSimdMode simd_pin(
         engine::simd::detectedIsa());
@@ -711,8 +648,10 @@ runEngineSmoke(const std::string& out_path,
     const CsrMatrix m = genCommunity(4096, 16, 16.0, 0.85, rng);
     runPipelinePhases(m);
     auto dtc_kernel = makeKernel(KernelKind::Dtc);
-    if (!dtc_kernel->prepare(m).empty()) {
-        std::fprintf(stderr, "smoke: DTC prepare() refused\n");
+    auto tcgnn_kernel = makeKernel(KernelKind::Tcgnn);
+    if (!dtc_kernel->prepare(m).empty() ||
+        !tcgnn_kernel->prepare(m).empty()) {
+        std::fprintf(stderr, "smoke: DTC or TC-GNN prepare() refused\n");
         return 1;
     }
 
@@ -724,27 +663,33 @@ runEngineSmoke(const std::string& out_path,
         DenseMatrix b(m.cols(), n);
         b.fillRandom(brng);
         DenseMatrix c(m.rows(), n);
+        // Both rows share one naive-reference timing as their "off"
+        // column: DTC and TC-GNN both compute TF32 SpMM.
+        referenceSpmmTf32(m, b, c); // warm-up: touch B/C pages once
+        const double naive_ms =
+            bench::timedMs(reps, [&] { referenceSpmmTf32(m, b, c); });
         rows.push_back(smokeCompare(
-            "DtcKernel::compute", m, n, reps,
+            "DtcKernel::compute", m, n, reps, naive_ms,
             [&] { dtc_kernel->compute(b, c); }));
         rows.push_back(smokeCompare(
-            "referenceSpmmTf32", m, n, reps,
-            [&] { referenceSpmmTf32(m, b, c); }));
+            "TcgnnKernel::compute", m, n, reps, naive_ms,
+            [&] { tcgnn_kernel->compute(b, c); }));
     }
-    // SIMD rows: engine on in both columns, Isa::Off vs detected.
-    // Dense 16x8 blocks on an L2-resident shape give the register-
-    // blocked tileInner path something to chew on.  The axpy-bound
-    // reference row is load/store-bound (compiler-vectorized Off
-    // column already saturates), so the vector win concentrates in
-    // tileInner and roundPanel; its row is kept for coverage, not
-    // headline speedup.
+    // SIMD rows: Isa::Scalar vs detected.  Dense 16x8 blocks on an
+    // L2-resident shape give the register-blocked tileInner path
+    // something to chew on.  The CSR (TC-GNN) row is axpy-bound and
+    // load/store-bound, so the vector win concentrates in tileInner
+    // and roundPanel; its row is kept for coverage, not headline
+    // speedup.
     {
         Rng srng(2);
         const CsrMatrix md = genBlockDiagonal(1024, 16, 1.0, srng);
         auto dense_kernel = makeKernel(KernelKind::Dtc);
-        if (!dense_kernel->prepare(md).empty()) {
+        auto dense_csr_kernel = makeKernel(KernelKind::Tcgnn);
+        if (!dense_kernel->prepare(md).empty() ||
+            !dense_csr_kernel->prepare(md).empty()) {
             std::fprintf(stderr,
-                         "smoke: DTC prepare() refused dense blocks\n");
+                         "smoke: prepare() refused dense blocks\n");
             return 1;
         }
         Rng brng(128);
@@ -753,11 +698,11 @@ runEngineSmoke(const std::string& out_path,
         DenseMatrix c(md.rows(), 128);
         const int simd_reps = 30;
         rows.push_back(simdSmokeCompare(
-            "DtcKernel::compute simd_off_on", 128, simd_reps,
+            "DtcKernel::compute simd_scalar_on", 128, simd_reps,
             [&] { dense_kernel->compute(b, c); }));
         rows.push_back(simdSmokeCompare(
-            "referenceSpmmTf32 simd_off_on", 128, simd_reps,
-            [&] { referenceSpmmTf32(md, b, c); }));
+            "TcgnnKernel::compute simd_scalar_on", 128, simd_reps,
+            [&] { dense_csr_kernel->compute(b, c); }));
     }
     {
         // Raw rounding micro-kernel: one 512-wide panel's worth of
@@ -769,14 +714,14 @@ runEngineSmoke(const std::string& out_path,
         for (auto& x : pin)
             x = prng.nextFloat(-1.0f, 1.0f);
         SmokeRow row;
-        row.kernel = "simd::roundPanel simd_off_on";
+        row.kernel = "simd::roundPanel simd_scalar_on";
         row.n = 512;
         row.legacyBRoundOps = 0;
         row.engineBRoundOps = 0;
         const int round_reps = 20;
         {
             const engine::simd::Kernels& K =
-                engine::simd::kernelsFor(engine::simd::Isa::Off);
+                engine::simd::kernelsFor(engine::simd::Isa::Scalar);
             row.offMs = bench::timedMs(round_reps, [&] {
                 K.roundPanel(pout.data(), pin.data(), elems,
                              Precision::Tf32);
@@ -812,8 +757,8 @@ runEngineSmoke(const std::string& out_path,
             "DtcKernel::compute threads_1_4", n,
             [&] { dtc_kernel->compute(b, c); }));
         scaling.push_back(threadScalingSmoke(
-            "referenceSpmmTf32 threads_1_4", n,
-            [&] { referenceSpmmTf32(m, b, c); }));
+            "TcgnnKernel::compute threads_1_4", n,
+            [&] { tcgnn_kernel->compute(b, c); }));
     }
     rows.insert(rows.end(), scaling.begin(), scaling.end());
 

@@ -36,6 +36,7 @@
 #include "bench_util.h"
 #include "common/rng.h"
 #include "datasets/generators.h"
+#include "engine/simd/simd.h"
 #include "gpusim/arch.h"
 #include "gpusim/cost_model.h"
 #include "matrix/dense.h"
@@ -73,6 +74,12 @@ int
 runServeSmoke(const std::string& out_path,
               const std::string& metrics_path)
 {
+    // Pin the SIMD backend to the detected ISA: the engine.simd.*
+    // counter totals in the metrics snapshot must not depend on a
+    // DTC_SIMD override (the CI DTC_SIMD=scalar leg runs this binary
+    // too).  Deterministic mode serves requests on this thread, so the
+    // thread-local pin reaches them.
+    engine::simd::ScopedSimdMode simd_pin(engine::simd::detectedIsa());
     const CostModel cm(ArchSpec::rtx4090());
     Rng rng(1);
     const CsrMatrix m = genCommunity(4096, 16, 16.0, 0.85, rng);

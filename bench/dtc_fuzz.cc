@@ -7,7 +7,7 @@
  *   dtc_fuzz --smoke
  *       Bounded, deterministic sweep: every structure family x fixed
  *       seeds through the full differential oracle (all kernels x
- *       precisions x engine on/off x thread counts), the metamorphic
+ *       precisions x SIMD backend x thread counts), the metamorphic
  *       property sweep, and the fault-injection sweep.  The ctest /
  *       CI entry point; exits nonzero on any failure.
  *

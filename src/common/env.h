@@ -12,7 +12,7 @@
  * the first use instead of silently running with defaults.
  *
  * All helpers re-read the environment on every call (the established
- * pattern of DTC_NUM_THREADS / DTC_ENGINE, so tests can toggle knobs
+ * pattern of DTC_NUM_THREADS / DTC_SIMD, so tests can toggle knobs
  * with setenv); callers that need one-shot semantics cache the result
  * behind their own atomic.
  */

@@ -2,20 +2,15 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 
 #include <unistd.h>
 
 #include "common/env.h"
-#include "engine/simd/simd.h"
 
 namespace dtc {
 namespace engine {
 
 namespace {
-
-/** -1: no override; 0/1: forced off/on by ScopedEngineMode. */
-thread_local int tlsEngineOverride = -1;
 
 /** <= 0: no override; else forced by ScopedPanelCols. */
 thread_local int64_t tlsPanelCols = 0;
@@ -52,26 +47,6 @@ probePanelCols()
 }
 
 } // namespace
-
-bool
-enabled()
-{
-    if (tlsEngineOverride >= 0)
-        return tlsEngineOverride != 0;
-    if (const char* env = std::getenv("DTC_ENGINE"))
-        return env[0] != '0';
-    return true;
-}
-
-ScopedEngineMode::ScopedEngineMode(bool on) : prev(tlsEngineOverride)
-{
-    tlsEngineOverride = on ? 1 : 0;
-}
-
-ScopedEngineMode::~ScopedEngineMode()
-{
-    tlsEngineOverride = prev;
-}
 
 int64_t
 panelColsBase()

@@ -19,21 +19,22 @@
  *   - column-panel tiling (panelCols): the N dimension is processed
  *     in L1/L2-sized panels so each row window's C slab and the B
  *     panel behind it stay cache-resident (the VFD/SMB analog);
- *   - axpy micro-kernels (below): restrict-qualified, fixed-width
- *     j-blocked inner loops the compiler can vectorize, with the
- *     per-j accumulation order unchanged so results stay *bitwise
- *     identical* to the scalar paths;
+ *   - the SIMD micro-kernel table (simd/simd.h): register-blocked
+ *     axpy and dense-tile kernels per ISA, with the per-element
+ *     accumulation order of the naive reference loops, so results
+ *     stay *bitwise identical* to them;
  *   - flat (row, col, val) lanes for DTC (built in prepare(), see
  *     DtcKernel): the IP analog.
  *
- * The engine is on by default.  DTC_ENGINE=0 in the environment or a
- * ScopedEngineMode(false) on the calling thread routes kernels
- * through their original scalar loops — the equivalence suite
- * (tests/test_engine_equivalence.cc) pins the two paths to bitwise
- * identity.
+ * Every engine-routed kernel has exactly one compute() body, and it
+ * runs through the engine.  The only engine-free SpMM loops are the
+ * naive references in kernels/reference.cc (referenceSpmm,
+ * referenceSpmmRounded) — the judge the equivalence suite
+ * (tests/test_engine_equivalence.cc) and the conformance oracle hold
+ * every kernel to, bitwise.
  */
-#ifndef DTC_ENGINE_ENGINE_H
-#define DTC_ENGINE_ENGINE_H
+#ifndef DTC_HOST_ENGINE_ENGINE_H
+#define DTC_HOST_ENGINE_ENGINE_H
 
 #include <cstdint>
 
@@ -41,28 +42,6 @@
 
 namespace dtc {
 namespace engine {
-
-/**
- * True when kernels should route through the engine.  Resolution,
- * strongest first: an active ScopedEngineMode on the calling thread,
- * the DTC_ENGINE environment variable (0/1, re-read per call so
- * tests can toggle it), then the default (on).
- */
-bool enabled();
-
-/** RAII thread-local engine on/off override (mirrors ScopedNumThreads). */
-class ScopedEngineMode
-{
-  public:
-    explicit ScopedEngineMode(bool on);
-    ~ScopedEngineMode();
-
-    ScopedEngineMode(const ScopedEngineMode&) = delete;
-    ScopedEngineMode& operator=(const ScopedEngineMode&) = delete;
-
-  private:
-    int prev;
-};
 
 /**
  * Column-panel width for dense width @p n: the N dimension is
@@ -109,7 +88,7 @@ class ScopedPanelCols
 /** Fallback panel width in floats (pre-probe default). */
 constexpr int64_t kPanelCols = 256;
 
-/** Fixed j-block width of the axpy micro-kernels. */
+/** Fixed j-block width the simd element counters are defined against. */
 constexpr int64_t kJBlock = 8;
 
 /**
@@ -122,8 +101,8 @@ constexpr int64_t kJBlock = 8;
  *
  * roundingOps is the measurable form of the O(nnz*N) -> O(K*N)
  * B-rounding reduction: PreparedDense bumps it by rows*cols once per
- * cache miss, while the scalar paths would have performed nnz*N
- * roundings per compute() call.
+ * cache miss, while rounding inside the hot loop (as the naive
+ * referenceSpmmRounded does) performs nnz*N roundings per call.
  */
 struct Stats
 {
@@ -135,44 +114,7 @@ struct Stats
 Stats& stats();
 void resetStats();
 
-/**
- * c[0..n) += v * b[0..n).
- *
- * The workhorse inner loop of every engine-routed kernel: restrict
- * pointers tell the compiler C and B never alias, and the fixed-trip
- * j-block gives it a clean vectorizable body with a scalar tail for
- * N not divisible by kJBlock.  Per output element this performs the
- * exact FP32 operation sequence of the scalar paths (one multiply,
- * one add, ascending j), so outputs are bitwise identical.
- */
-inline void
-axpy(float* __restrict c, const float* __restrict b, float v,
-     int64_t n)
-{
-    int64_t j = 0;
-    for (; j + kJBlock <= n; j += kJBlock) {
-        for (int64_t u = 0; u < kJBlock; ++u)
-            c[j + u] += v * b[j + u];
-    }
-    for (; j < n; ++j)
-        c[j] += v * b[j];
-}
-
-/** acc[0..n) += v * b[0..n) with double accumulation (referenceSpmm). */
-inline void
-axpyDouble(double* __restrict acc, const float* __restrict b, double v,
-           int64_t n)
-{
-    int64_t j = 0;
-    for (; j + kJBlock <= n; j += kJBlock) {
-        for (int64_t u = 0; u < kJBlock; ++u)
-            acc[j + u] += v * static_cast<double>(b[j + u]);
-    }
-    for (; j < n; ++j)
-        acc[j] += v * static_cast<double>(b[j]);
-}
-
 } // namespace engine
 } // namespace dtc
 
-#endif // DTC_ENGINE_ENGINE_H
+#endif // DTC_HOST_ENGINE_ENGINE_H

@@ -90,7 +90,7 @@ roundDense(const DenseMatrix& b, Precision p)
     const auto total = static_cast<uint64_t>(b.size());
     if (K.isa == simd::Isa::Scalar) {
         simd::stats().tailElems.add(total);
-    } else if (K.isa != simd::Isa::Off) {
+    } else {
         simd::stats().vectorElems.add(total - total % 8);
         simd::stats().tailElems.add(total % 8);
     }

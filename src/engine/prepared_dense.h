@@ -3,7 +3,7 @@
  * PreparedDense — the engine's B-panel cache.
  *
  * Tensor-core kernels round every B operand to the MMA input
- * precision (TF32/BF16/FP16).  The scalar paths do that inside the
+ * precision (TF32/BF16/FP16).  The naive reference does that inside the
  * innermost loop — O(nnz*N) roundings per compute() call, the single
  * largest source of per-element overhead on the host.  PreparedDense
  * rounds B exactly once per (contents, precision) pair — O(K*N) —
@@ -19,10 +19,10 @@
  *
  * Rounding is elementwise, so the rounded buffer is bitwise
  * independent of thread count, and reading rounded values multiplies
- * the exact floats the scalar paths produce inline.
+ * the exact floats the naive reference produces inline.
  */
-#ifndef DTC_ENGINE_PREPARED_DENSE_H
-#define DTC_ENGINE_PREPARED_DENSE_H
+#ifndef DTC_HOST_ENGINE_PREPARED_DENSE_H
+#define DTC_HOST_ENGINE_PREPARED_DENSE_H
 
 #include <cstdint>
 #include <memory>
@@ -75,4 +75,4 @@ void clearPreparedDenseCache();
 } // namespace engine
 } // namespace dtc
 
-#endif // DTC_ENGINE_PREPARED_DENSE_H
+#endif // DTC_HOST_ENGINE_PREPARED_DENSE_H

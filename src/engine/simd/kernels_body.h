@@ -9,7 +9,7 @@
  * no include guard, include it exactly once per backend TU.
  *
  * Contract (see simd.h): per output element, every backend performs
- * the scalar engine's exact FP32 sequence — separate multiply then
+ * the naive reference's exact FP32 sequence — separate multiply then
  * add in ascending-j / ascending-lane order.  The TUs are compiled
  * with -ffp-contract=off, so the compiler cannot fuse them either.
  *
@@ -97,38 +97,6 @@ axpyPrefetch(float* c, const float* b, float v, int64_t n,
     axpyBody(c, b, v, n);
 }
 
-void
-axpyDouble(double* __restrict acc, const float* __restrict b,
-           double v, int64_t n)
-{
-    countSplit(n, 1);
-    int64_t j = 0;
-#if defined(DTC_SIMD_BACKEND_SCALAR)
-    for (; j + 8 <= n; j += 8) {
-        for (int64_t u = 0; u < 8; ++u)
-            acc[j + u] += v * static_cast<double>(b[j + u]);
-    }
-#elif defined(DTC_SIMD_BACKEND_AVX512)
-    const __m512d vd = _mm512_set1_pd(v);
-    for (; j + 8 <= n; j += 8) {
-        const __m512d bd = _mm512_cvtps_pd(_mm256_loadu_ps(b + j));
-        _mm512_storeu_pd(
-            acc + j, _mm512_add_pd(_mm512_loadu_pd(acc + j),
-                                   _mm512_mul_pd(vd, bd)));
-    }
-#else
-    const __m256d vd = _mm256_set1_pd(v);
-    for (; j + 4 <= n; j += 4) {
-        const __m256d bd = _mm256_cvtps_pd(_mm_loadu_ps(b + j));
-        _mm256_storeu_pd(
-            acc + j, _mm256_add_pd(_mm256_loadu_pd(acc + j),
-                                   _mm256_mul_pd(vd, bd)));
-    }
-#endif
-    for (; j < n; ++j)
-        acc[j] += v * static_cast<double>(b[j]);
-}
-
 /** Widest lane count the register-blocked tile path keeps in registers. */
 [[maybe_unused]] constexpr int64_t kMaxTileBw = 16;
 
@@ -188,7 +156,7 @@ tileInner(float* c, int64_t c_stride, const float* tile,
     }
 #endif
     // Scalar backend, or a block shape too wide to register-block:
-    // the PR 3 loop nest (per row, per lane, axpy across the panel).
+    // per row, per lane, axpy across the panel.
     for (int64_t i = 0; i < wh; ++i) {
         float* ci = c + i * c_stride;
         const float* trow = tile + i * bw;
@@ -250,8 +218,7 @@ roundPanel(float* __restrict out, const float* __restrict in,
 Kernels
 makeTable(Isa isa)
 {
-    return Kernels{isa,      axpy,      axpyPrefetch,
-                   axpyDouble, tileInner, roundPanel};
+    return Kernels{isa, axpy, axpyPrefetch, tileInner, roundPanel};
 }
 
 } // namespace DTC_SIMD_NS

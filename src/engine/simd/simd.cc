@@ -4,7 +4,6 @@
 
 #include "common/env.h"
 #include "common/error.h"
-#include "engine/engine.h"
 #include "engine/simd/tables.h"
 
 namespace dtc {
@@ -44,8 +43,6 @@ cpuHasAvx512()
 Isa
 parseIsa(const std::string& s)
 {
-    if (s == "off")
-        return Isa::Off;
     if (s == "scalar")
         return Isa::Scalar;
     if (s == "avx2")
@@ -53,59 +50,8 @@ parseIsa(const std::string& s)
     if (s == "avx512")
         return Isa::Avx512;
     DTC_RAISE(ErrorCode::InvalidInput,
-              "DTC_SIMD must be one of off|scalar|avx2|avx512, got \""
+              "DTC_SIMD must be one of scalar|avx2|avx512, got \""
                   << s << "\"");
-}
-
-// ---- The Off table: PR 3's inline loops, bypassing the dispatcher.
-// No element counters, no prefetch — bitwise (and observably)
-// identical to the engine before this backend existed.
-
-void
-offAxpy(float* c, const float* b, float v, int64_t n)
-{
-    engine::axpy(c, b, v, n);
-}
-
-void
-offAxpyPrefetch(float* c, const float* b, float v, int64_t n,
-                const float* /*next_b*/)
-{
-    engine::axpy(c, b, v, n);
-}
-
-void
-offAxpyDouble(double* acc, const float* b, double v, int64_t n)
-{
-    engine::axpyDouble(acc, b, v, n);
-}
-
-void
-offTileInner(float* c, int64_t c_stride, const float* tile,
-             const float* const* brows, int64_t wh, int64_t bw,
-             int64_t n)
-{
-    for (int64_t i = 0; i < wh; ++i) {
-        float* ci = c + i * c_stride;
-        const float* trow = tile + i * bw;
-        for (int64_t l = 0; l < bw; ++l)
-            engine::axpy(ci, brows[l], trow[l], n);
-    }
-}
-
-void
-offRoundPanel(float* out, const float* in, int64_t n, Precision p)
-{
-    for (int64_t i = 0; i < n; ++i)
-        out[i] = roundToPrecision(in[i], p);
-}
-
-const Kernels&
-offTable()
-{
-    static const Kernels k{Isa::Off,       offAxpy,      offAxpyPrefetch,
-                           offAxpyDouble, offTileInner, offRoundPanel};
-    return k;
 }
 
 } // namespace
@@ -114,8 +60,6 @@ const char*
 isaName(Isa isa)
 {
     switch (isa) {
-      case Isa::Off:
-        return "off";
       case Isa::Scalar:
         return "scalar";
       case Isa::Avx2:
@@ -147,7 +91,6 @@ bool
 isaSupported(Isa isa)
 {
     switch (isa) {
-      case Isa::Off:
       case Isa::Scalar:
         return true;
       case Isa::Avx2:
@@ -197,8 +140,6 @@ const Kernels&
 kernelsFor(Isa isa)
 {
     switch (isa) {
-      case Isa::Off:
-        return offTable();
       case Isa::Scalar:
         return detail::scalarTable();
       case Isa::Avx2:

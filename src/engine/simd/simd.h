@@ -2,34 +2,29 @@
  * @file
  * Runtime-dispatched SIMD micro-kernel backend of the host engine.
  *
- * PR 3's engine reproduced the paper's *data movement* (flat lanes,
- * dense 16x8 tiles, pre-rounded column panels) but executed every
- * FLOP through scalar j-block loops — the host had the layout half of
- * DTC-SpMM without the MMA half.  This module is that compute tier: a
- * small table of register-blocked micro-kernels (axpy, residue-lane
- * axpy with software prefetch, double-accumulation axpy, the dense
- * windowHeight x blockWidth tile inner product, and the PreparedDense
- * precision-rounding pass), each implemented per ISA:
+ * The engine's compute tier: a small table of register-blocked
+ * micro-kernels (axpy, residue-lane axpy with software prefetch, the
+ * dense windowHeight x blockWidth tile inner product, and the
+ * PreparedDense precision-rounding pass), each implemented per ISA:
  *
- *   - scalar  — portable fallback, same loops as PR 3;
+ *   - scalar  — portable backend, plain j-blocked loops;
  *   - avx2    — 8-wide __m256 (compiled with -mavx2);
  *   - avx512  — 16-wide __m512 with an 8-wide remainder step
  *               (compiled with -mavx512{f,dq,bw,vl}).
  *
  * Bitwise identity is a hard contract: every backend performs, per
- * output element, the exact FP32 operation sequence of the scalar
- * path — separate multiply then add (the per-ISA translation units
- * are compiled with -ffp-contract=off so no FMA contraction can merge
- * them) and ascending-j, ascending-lane accumulation order.
- * Vectorizing across the j (column) dimension is order-preserving
- * because each c[j] += v * b[j] is independent per j.
+ * output element, the exact FP32 operation sequence of the naive
+ * reference (kernels/reference.h) — separate multiply then add (the
+ * per-ISA translation units are compiled with -ffp-contract=off so no
+ * FMA contraction can merge them) and ascending-j, ascending-lane
+ * accumulation order.  Vectorizing across the j (column) dimension
+ * is order-preserving because each c[j] += v * b[j] is independent
+ * per j.
  *
  * Dispatch resolution, strongest first: an active ScopedSimdMode on
  * the calling thread, the typed DTC_SIMD environment knob
- * (off|scalar|avx2|avx512 — anything else, or an ISA the CPU lacks,
- * raises DtcError(InvalidInput)), then cpuid auto-detection.  "off"
- * bypasses the dispatcher entirely (PR 3's inline loops, no
- * counters); "scalar" selects the dispatcher's portable backend.
+ * (scalar|avx2|avx512 — anything else, or an ISA the CPU lacks,
+ * raises DtcError(InvalidInput)), then cpuid auto-detection.
  *
  * Observability: the selected ISA is published as the
  * "engine.simd.isa" gauge, and every dispatched call splits its
@@ -39,8 +34,8 @@
  * so an AVX-512 host and an AVX2 host report identical counters and
  * bench_compare can gate them exactly across machines.
  */
-#ifndef DTC_ENGINE_SIMD_SIMD_H
-#define DTC_ENGINE_SIMD_SIMD_H
+#ifndef DTC_HOST_ENGINE_SIMD_SIMD_H
+#define DTC_HOST_ENGINE_SIMD_SIMD_H
 
 #include <cstdint>
 
@@ -51,19 +46,22 @@ namespace dtc {
 namespace engine {
 namespace simd {
 
-/** Backend selector.  Order matters: later entries are wider ISAs. */
+/**
+ * Backend selector.  Order matters: later entries are wider ISAs.
+ * The values are fixed because the "engine.simd.isa" gauge publishes
+ * them.
+ */
 enum class Isa
 {
-    Off,    ///< Bypass the dispatcher (the PR 3 inline loops).
-    Scalar, ///< Portable dispatcher backend (counts elements).
-    Avx2,   ///< 8-wide __m256.
-    Avx512, ///< 16-wide __m512 (+ 8-wide remainder step).
+    Scalar = 1, ///< Portable backend.
+    Avx2 = 2,   ///< 8-wide __m256.
+    Avx512 = 3, ///< 16-wide __m512 (+ 8-wide remainder step).
 };
 
-/** Display name: "off", "scalar", "avx2", "avx512". */
+/** Display name: "scalar", "avx2", "avx512". */
 const char* isaName(Isa isa);
 
-/** Widest ISA this CPU supports (never Off; cached after first call). */
+/** Widest ISA this CPU supports (cached after first call). */
 Isa detectedIsa();
 
 /** True when this build + CPU can execute @p isa. */
@@ -78,7 +76,7 @@ bool isaSupported(Isa isa);
  */
 Isa activeIsa();
 
-/** RAII thread-local ISA override (mirrors ScopedEngineMode). */
+/** RAII thread-local ISA override (mirrors ScopedNumThreads). */
 class ScopedSimdMode
 {
   public:
@@ -113,10 +111,6 @@ struct Kernels
      */
     void (*axpyPrefetch)(float* c, const float* b, float v, int64_t n,
                          const float* next_b);
-
-    /** acc[0..n) += v * (double)b[0..n) (referenceSpmm). */
-    void (*axpyDouble)(double* acc, const float* b, double v,
-                       int64_t n);
 
     /**
      * Dense-tile inner product, the host analog of one m16n8k8 MMA:
@@ -155,8 +149,7 @@ const Kernels& kernelsFor(Isa isa);
  * Element counters, backed by the metrics registry under
  * "engine.simd.vector_elems" / "engine.simd.tail_elems".  Defined
  * against the fixed 8-wide j-block regardless of physical ISA width
- * (see file comment); the scalar backend counts everything as tail;
- * the Off table counts nothing.
+ * (see file comment); the scalar backend counts everything as tail.
  */
 struct SimdStats
 {
@@ -171,4 +164,4 @@ void resetStats();
 } // namespace engine
 } // namespace dtc
 
-#endif // DTC_ENGINE_SIMD_SIMD_H
+#endif // DTC_HOST_ENGINE_SIMD_SIMD_H

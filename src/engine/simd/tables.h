@@ -5,8 +5,8 @@
  * backends exist only in x86-64 builds (CMake compiles those TUs and
  * defines DTC_SIMD_HAVE_X86 when the toolchain supports the flags).
  */
-#ifndef DTC_ENGINE_SIMD_TABLES_H
-#define DTC_ENGINE_SIMD_TABLES_H
+#ifndef DTC_HOST_ENGINE_SIMD_TABLES_H
+#define DTC_HOST_ENGINE_SIMD_TABLES_H
 
 #include "engine/simd/simd.h"
 
@@ -26,4 +26,4 @@ const Kernels& avx512Table();
 } // namespace engine
 } // namespace dtc
 
-#endif // DTC_ENGINE_SIMD_TABLES_H
+#endif // DTC_HOST_ENGINE_SIMD_TABLES_H

@@ -24,8 +24,8 @@
  * forms: buffer *bases* are 64-byte aligned (common/aligned.h) but
  * panel-offset row interiors need not be.
  */
-#ifndef DTC_ENGINE_SIMD_VEC_H
-#define DTC_ENGINE_SIMD_VEC_H
+#ifndef DTC_HOST_ENGINE_SIMD_VEC_H
+#define DTC_HOST_ENGINE_SIMD_VEC_H
 
 #include <cstdint>
 
@@ -241,4 +241,4 @@ prefetch(const float* p, int64_t)
 } // namespace engine
 } // namespace dtc
 
-#endif // DTC_ENGINE_SIMD_VEC_H
+#endif // DTC_HOST_ENGINE_SIMD_VEC_H

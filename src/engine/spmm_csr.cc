@@ -1,7 +1,6 @@
 #include "engine/spmm_csr.h"
 
 #include <algorithm>
-#include <vector>
 
 #include "common/cancel.h"
 #include "common/parallel.h"
@@ -45,36 +44,6 @@ spmmCsrRounded(int64_t rows, const int64_t* row_ptr,
                     K.axpyPrefetch(crow, pb.row(col_idx[k]) + j0, v,
                                    pn, next_b);
                 }
-            }
-        }
-    });
-}
-
-void
-spmmCsrDoubleAcc(int64_t rows, const int64_t* row_ptr,
-                 const int32_t* col_idx, const float* vals,
-                 const DenseMatrix& b, DenseMatrix& c, int64_t grain)
-{
-    const int64_t n = c.cols();
-    const PreparedDense pb(b, Precision::Fp32);
-    const simd::Kernels& K = simd::kernels();
-    const int64_t pw = panelCols(n);
-    parallelFor(0, rows, grain, [&](int64_t r_lo, int64_t r_hi) {
-        std::vector<double> acc(static_cast<size_t>(pw));
-        for (int64_t j0 = 0; j0 < n; j0 += pw) {
-            cancel::poll();
-            const int64_t pn = std::min(pw, n - j0);
-            for (int64_t r = r_lo; r < r_hi; ++r) {
-                std::fill(acc.begin(), acc.begin() + pn, 0.0);
-                for (int64_t k = row_ptr[r]; k < row_ptr[r + 1];
-                     ++k) {
-                    K.axpyDouble(acc.data(),
-                                 pb.row(col_idx[k]) + j0,
-                                 static_cast<double>(vals[k]), pn);
-                }
-                float* __restrict crow = c.row(r) + j0;
-                for (int64_t j = 0; j < pn; ++j)
-                    crow[j] = static_cast<float>(acc[j]);
             }
         }
     });

@@ -1,9 +1,8 @@
 /**
  * @file
- * Engine drivers for CSR-shaped SpMM — the panel-tiled, pre-rounded
- * hot loops behind the reference, cuSPARSE-like, TCGNN and
- * Sputnik-like kernels (anything that walks row -> nonzeros ->
- * N-wide B row).
+ * Engine driver for CSR-shaped SpMM — the panel-tiled, pre-rounded
+ * hot loop behind the cuSPARSE-like, TCGNN and Sputnik-like kernels
+ * (anything that walks row -> nonzeros -> N-wide B row).
  *
  * Loop structure (per parallelFor chunk of rows):
  *
@@ -14,13 +13,13 @@
  *
  * Panel tiling only reorders work across *distinct* output columns;
  * for any single C element the nonzeros are applied in exactly the
- * CSR order the scalar loops use, so outputs are bitwise identical.
- * B comes from PreparedDense (rounded once); A values are rounded
+ * CSR order the naive reference uses, so outputs are bitwise
+ * identical.  B comes from PreparedDense (rounded once); A values are rounded
  * inline per panel — O(nnz * N/panel), negligible next to the
  * O(nnz*N) B-rounding this replaces.
  */
-#ifndef DTC_ENGINE_SPMM_CSR_H
-#define DTC_ENGINE_SPMM_CSR_H
+#ifndef DTC_HOST_ENGINE_SPMM_CSR_H
+#define DTC_HOST_ENGINE_SPMM_CSR_H
 
 #include <cstdint>
 
@@ -40,16 +39,7 @@ void spmmCsrRounded(int64_t rows, const int64_t* row_ptr,
                     Precision p, const DenseMatrix& b, DenseMatrix& c,
                     int64_t grain);
 
-/**
- * C = A * B with double accumulation rounded to float at the end
- * (the referenceSpmm numerics).  Every element of @p c is written.
- */
-void spmmCsrDoubleAcc(int64_t rows, const int64_t* row_ptr,
-                      const int32_t* col_idx, const float* vals,
-                      const DenseMatrix& b, DenseMatrix& c,
-                      int64_t grain);
-
 } // namespace engine
 } // namespace dtc
 
-#endif // DTC_ENGINE_SPMM_CSR_H
+#endif // DTC_HOST_ENGINE_SPMM_CSR_H

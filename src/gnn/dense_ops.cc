@@ -28,11 +28,11 @@ gemm(const DenseMatrix& a, bool transpose_a, const DenseMatrix& b,
     };
 
     c.setZero();
-    if (engine::enabled() && !transpose_b) {
+    if (!transpose_b) {
         // Engine path: eb(kk, j) is contiguous B row kk, so the inner
-        // loop is the same restrict/j-blocked axpy the SpMM kernels
-        // use, panel-tiled over N.  Per C element the kk order (and
-        // the av == 0 skip) is unchanged — bitwise-identical output.
+        // loop is the SIMD axpy the SpMM kernels use, panel-tiled over
+        // N.  Per C element the kk order (and the av == 0 skip) is the
+        // i-k-j loop's below — bitwise-identical output.
         const engine::simd::Kernels& K = engine::simd::kernels();
         const int64_t pw = engine::panelCols(n);
         for (int64_t j0 = 0; j0 < n; j0 += pw) {
@@ -49,8 +49,8 @@ gemm(const DenseMatrix& a, bool transpose_a, const DenseMatrix& b,
         }
         return;
     }
-    // i-k-j loop order keeps the inner loop streaming over C and B
-    // rows (cache friendly for the common non-transposed case).
+    // Transposed B: an i-k-j loop keeps the inner loop streaming over
+    // C rows.
     for (int64_t i = 0; i < m; ++i) {
         float* crow = c.row(i);
         for (int64_t kk = 0; kk < k; ++kk) {

@@ -7,7 +7,6 @@
 
 #include "common/check.h"
 #include "common/parallel.h"
-#include "common/tf32.h"
 #include "engine/engine.h"
 #include "engine/prepared_dense.h"
 #include "engine/simd/simd.h"
@@ -144,91 +143,59 @@ DtcKernel::compute(const DenseMatrix& b, DenseMatrix& c) const
     const int64_t bw = format.shape().blockWidth;
     const auto& rwo = format.rowWindowOffset();
     const auto& tco = format.tcOffset();
-    const auto& lid = format.tcLocalId();
     const auto& atob = format.sparseAtoB();
-    const auto& vals = format.values();
 
     c.setZero();
-    // Traverse blocks left-to-right per window, nonzeros in ascending
+    // Traverse blocks left-to-right per window, lanes in ascending
     // local id: per output row this accumulates in ascending-column
-    // order with TF32 operand rounding — identical numerics to the
-    // mma.m16n8k4 pipeline and to referenceSpmmTf32.  Window-parallel
-    // like the real grid: each window writes a disjoint row slab of C.
-    if (engine::enabled()) {
-        // Engine path: B pre-rounded once (PreparedDense), nonzero
-        // coordinates and rounded values read from the flat lanes
-        // built in prepare() (IP), N walked in cache-sized column
-        // panels (VFD/SMB).  Per C element the accumulation order is
-        // unchanged, so outputs match the scalar loop bitwise.
-        const engine::PreparedDense pb(b, opts.precision);
-        const int64_t tile_elems = wh * bw;
-        // SIMD table and panel width resolved on the calling thread:
-        // ScopedSimdMode / ScopedPanelCols are thread-local and would
-        // not reach parallelFor workers.
-        const engine::simd::Kernels& K = engine::simd::kernels();
-        const int64_t pw = engine::panelCols(n);
-        parallelFor(0, format.numWindows(), 16,
-                    [&](int64_t w_lo, int64_t w_hi) {
-            std::vector<const float*> brows(
-                static_cast<size_t>(bw));
-            for (int64_t j0 = 0; j0 < n; j0 += pw) {
-                const int64_t pn = std::min(pw, n - j0);
-                for (int64_t w = w_lo; w < w_hi; ++w) {
-                    for (int64_t blk = rwo[w]; blk < rwo[w + 1];
-                         ++blk) {
-                        const int64_t t = lanes.denseTileOf[blk];
-                        if (t >= 0) {
-                            // Full block: the 16x8 tile inner
-                            // product.  All lanes are real columns
-                            // (100% occupancy), so each B row
-                            // pointer is valid.
-                            const float* tile =
-                                lanes.denseTiles.data() +
-                                t * tile_elems;
-                            const int32_t* cols =
-                                atob.data() + blk * bw;
-                            for (int64_t l = 0; l < bw; ++l)
-                                brows[l] = pb.row(cols[l]) + j0;
-                            K.tileInner(c.row(w * wh) + j0,
-                                        c.cols(), tile,
-                                        brows.data(), wh, bw, pn);
-                            continue;
-                        }
-                        // Residue lanes: broadcast-value axpy with a
-                        // software prefetch of the next lane's B row
-                        // (the non-condensed fetch path).
-                        const int64_t k_end = tco[blk + 1];
-                        for (int64_t k = tco[blk]; k < k_end; ++k) {
-                            const float* next_b =
-                                k + 1 < k_end
-                                    ? pb.row(lanes.col[k + 1]) + j0
-                                    : nullptr;
-                            K.axpyPrefetch(
-                                c.row(lanes.row[k]) + j0,
-                                pb.row(lanes.col[k]) + j0,
-                                lanes.val[k], pn, next_b);
-                        }
-                    }
-                }
-            }
-        });
-        return;
-    }
+    // order with operand rounding — identical numerics to the
+    // mma.m16n8k4 pipeline and to referenceSpmmRounded.  Window-
+    // parallel like the real grid: each window writes a disjoint row
+    // slab of C.  B is pre-rounded once (PreparedDense), nonzero
+    // coordinates and rounded values come from the flat lanes built
+    // in prepare() (IP), and N is walked in cache-sized column panels
+    // (VFD/SMB).
+    const engine::PreparedDense pb(b, opts.precision);
+    const int64_t tile_elems = wh * bw;
+    // SIMD table and panel width resolved on the calling thread:
+    // ScopedSimdMode / ScopedPanelCols are thread-local and would not
+    // reach parallelFor workers.
+    const engine::simd::Kernels& K = engine::simd::kernels();
+    const int64_t pw = engine::panelCols(n);
     parallelFor(0, format.numWindows(), 16,
                 [&](int64_t w_lo, int64_t w_hi) {
-        for (int64_t w = w_lo; w < w_hi; ++w) {
-            for (int64_t blk = rwo[w]; blk < rwo[w + 1]; ++blk) {
-                for (int64_t k = tco[blk]; k < tco[blk + 1]; ++k) {
-                    const int64_t local = lid[k];
-                    const int64_t row = w * wh + local / bw;
-                    const int32_t col = atob[blk * bw + local % bw];
-                    const float v =
-                        roundToPrecision(vals[k], opts.precision);
-                    const float* brow = b.row(col);
-                    float* crow = c.row(row);
-                    for (int64_t j = 0; j < n; ++j)
-                        crow[j] += v * roundToPrecision(
-                                           brow[j], opts.precision);
+        std::vector<const float*> brows(static_cast<size_t>(bw));
+        for (int64_t j0 = 0; j0 < n; j0 += pw) {
+            const int64_t pn = std::min(pw, n - j0);
+            for (int64_t w = w_lo; w < w_hi; ++w) {
+                for (int64_t blk = rwo[w]; blk < rwo[w + 1]; ++blk) {
+                    const int64_t t = lanes.denseTileOf[blk];
+                    if (t >= 0) {
+                        // Full block: the 16x8 tile inner product.
+                        // All lanes are real columns (100%
+                        // occupancy), so each B row pointer is valid.
+                        const float* tile =
+                            lanes.denseTiles.data() + t * tile_elems;
+                        const int32_t* cols = atob.data() + blk * bw;
+                        for (int64_t l = 0; l < bw; ++l)
+                            brows[l] = pb.row(cols[l]) + j0;
+                        K.tileInner(c.row(w * wh) + j0, c.cols(), tile,
+                                    brows.data(), wh, bw, pn);
+                        continue;
+                    }
+                    // Residue lanes: broadcast-value axpy with a
+                    // software prefetch of the next lane's B row (the
+                    // non-condensed fetch path).
+                    const int64_t k_end = tco[blk + 1];
+                    for (int64_t k = tco[blk]; k < k_end; ++k) {
+                        const float* next_b =
+                            k + 1 < k_end
+                                ? pb.row(lanes.col[k + 1]) + j0
+                                : nullptr;
+                        K.axpyPrefetch(c.row(lanes.row[k]) + j0,
+                                       pb.row(lanes.col[k]) + j0,
+                                       lanes.val[k], pn, next_b);
+                    }
                 }
             }
         }

@@ -9,6 +9,11 @@
  * numerics of every kernel in the registry except SparTA — so kernels
  * can be checked for bit-level agreement rather than tolerance.
  * referenceSpmmTf32 is the paper-precision shorthand.
+ *
+ * Both are deliberately naive row-parallel loops that never touch the
+ * host engine (no PreparedDense, no SIMD table, no engine.* counters),
+ * so the judge cannot share a bug with the code it judges.  They are
+ * the only engine-free SpMM loops in the library.
  */
 #ifndef DTC_KERNELS_REFERENCE_H
 #define DTC_KERNELS_REFERENCE_H

@@ -3,9 +3,6 @@
 #include <algorithm>
 
 #include "common/check.h"
-#include "common/parallel.h"
-#include "common/tf32.h"
-#include "engine/engine.h"
 #include "engine/spmm_csr.h"
 #include "kernels/b_traffic.h"
 
@@ -33,39 +30,14 @@ TcgnnKernel::compute(const DenseMatrix& b, DenseMatrix& c) const
     DTC_CHECK(ready);
     DTC_CHECK(format.cols() == b.rows());
     DTC_CHECK(c.rows() == format.rows() && c.cols() == b.cols());
-    if (engine::enabled()) {
-        // TCF's nodePointer/edgeList walk is CSR-shaped: route it
-        // through the engine's panel-tiled TF32 driver.
-        engine::spmmCsrRounded(format.rows(),
-                               format.nodePointer().data(),
-                               format.edgeList().data(),
-                               format.values().data(),
-                               Precision::Tf32, b, c, 256);
-        return;
-    }
-    const int64_t n = b.cols();
-    c.setZero();
-    // Walk the TCF arrays exactly as the kernel's FetchSparse does:
-    // nonzeros in CSR order, located via nodePointer/edgeList.  Within
-    // a row this accumulates in ascending-column order — the same
-    // order the WMMA tiles accumulate — with TF32 operand rounding.
-    // Row-parallel: nonzeros are grouped by row (edgeToRow ascending),
-    // so chunking on row boundaries keeps C writes disjoint.
-    const auto& node_ptr = format.nodePointer();
-    const auto& cols = format.edgeList();
-    const auto& vals = format.values();
-    parallelFor(0, format.rows(), 256,
-                [&](int64_t r_lo, int64_t r_hi) {
-        for (int64_t r = r_lo; r < r_hi; ++r) {
-            float* crow = c.row(r);
-            for (int64_t k = node_ptr[r]; k < node_ptr[r + 1]; ++k) {
-                const float v = tf32Round(vals[k]);
-                const float* brow = b.row(cols[k]);
-                for (int64_t j = 0; j < n; ++j)
-                    crow[j] += v * tf32Round(brow[j]);
-            }
-        }
-    });
+    // TCF's nodePointer/edgeList walk is CSR-shaped: nonzeros in CSR
+    // order, ascending columns within a row (the order the WMMA tiles
+    // accumulate), with TF32 operand rounding — the engine's
+    // panel-tiled TF32 driver.
+    engine::spmmCsrRounded(format.rows(), format.nodePointer().data(),
+                           format.edgeList().data(),
+                           format.values().data(), Precision::Tf32, b,
+                           c, 256);
 }
 
 LaunchResult

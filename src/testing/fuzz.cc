@@ -38,7 +38,7 @@ artifactStem(StructureFamily family, uint64_t seed,
     std::ostringstream os;
     os << structureFamilyName(family) << "-s" << seed << "-k"
        << static_cast<int>(o.kind) << "-" << precisionName(o.precision)
-       << "-e" << (o.engineOn ? 1 : 0) << "-v" << (o.simdOn ? 1 : 0)
+       << "-v" << (o.simdOn ? 1 : 0)
        << "-t" << o.threads;
     return os.str();
 }
@@ -126,17 +126,17 @@ fuzzOneCase(StructureFamily family, uint64_t seed,
     // Shrink the first failing combo and dump a replayable artifact.
     const OracleOutcome& f = *report.firstFailure();
     const auto predicate = [&](const CsrMatrix& m) {
-        return comboFails(f.kind, f.precision, f.engineOn, f.simdOn,
-                          f.threads, m, c.denseWidth, c.seed,
+        return comboFails(f.kind, f.precision, f.simdOn, f.threads, m,
+                          c.denseWidth, c.seed,
                           opt.oracle.toleranceSafety);
     };
     const ShrinkResult shrunk =
         shrinkMatrix(c.a, predicate, opt.shrinkEvaluations);
 
     std::string fresh_detail;
-    comboFails(f.kind, f.precision, f.engineOn, f.simdOn, f.threads,
-               shrunk.matrix, c.denseWidth, c.seed,
-               opt.oracle.toleranceSafety, &fresh_detail);
+    comboFails(f.kind, f.precision, f.simdOn, f.threads, shrunk.matrix,
+               c.denseWidth, c.seed, opt.oracle.toleranceSafety,
+               &fresh_detail);
 
     std::ostringstream line;
     line << c.label << ": " << f.describe() << " | shrunk to "
@@ -153,7 +153,6 @@ fuzzOneCase(StructureFamily family, uint64_t seed,
         info.scale = opt.scale;
         info.kind = f.kind;
         info.precision = f.precision;
-        info.engineOn = f.engineOn;
         info.simdOn = f.simdOn;
         info.threads = f.threads;
         info.denseWidth = c.denseWidth;

@@ -9,7 +9,6 @@
 #include "common/check.h"
 #include "common/parallel.h"
 #include "common/rng.h"
-#include "engine/engine.h"
 #include "engine/simd/simd.h"
 #include "gpusim/arch.h"
 #include "gpusim/cost_model.h"
@@ -31,8 +30,8 @@ floatBits(float x)
 /**
  * Per-case precomputed references: the double-accumulation ground
  * truth, per-row |A| sums for the error bound, and lazily one rounded
- * reference per precision (engine and thread count do not change these
- * bits — the equivalence suite pins both paths to identity).
+ * reference per precision (neither SIMD backend nor thread count
+ * changes these bits: the reference uses neither).
  */
 struct CaseRefs
 {
@@ -124,13 +123,11 @@ judgeAgainst(CaseRefs& refs, const DenseMatrix& got, Precision p,
 
 OracleOutcome
 judgeCombo(CaseRefs& refs, KernelKind kind, Precision p,
-           bool engine_on, bool simd_on, int threads,
-           const OracleConfig& cfg)
+           bool simd_on, int threads, const OracleConfig& cfg)
 {
     OracleOutcome out;
     out.kind = kind;
     out.precision = p;
-    out.engineOn = engine_on;
     out.simdOn = simd_on;
     out.threads = threads;
 
@@ -141,10 +138,9 @@ judgeCombo(CaseRefs& refs, KernelKind kind, Precision p,
         return out;
     }
 
-    engine::ScopedEngineMode em(engine_on);
     engine::simd::ScopedSimdMode sm(simd_on
                                         ? engine::simd::detectedIsa()
-                                        : engine::simd::Isa::Off);
+                                        : engine::simd::Isa::Scalar);
     ScopedNumThreads nt(threads);
     try {
         const Refusal r = kernel->prepare(refs.a);
@@ -190,13 +186,12 @@ judgeCombo(CaseRefs& refs, KernelKind kind, Precision p,
 } // namespace
 
 OracleConfig
-OracleConfig::single(KernelKind kind, Precision p, bool engine_on,
-                     bool simd_on, int threads)
+OracleConfig::single(KernelKind kind, Precision p, bool simd_on,
+                     int threads)
 {
     OracleConfig cfg;
     cfg.kernels = {kind};
     cfg.precisions = {p};
-    cfg.engineModes = {engine_on};
     cfg.simdModes = {simd_on};
     cfg.threadCounts = {threads};
     return cfg;
@@ -207,9 +202,8 @@ OracleOutcome::describe() const
 {
     std::ostringstream os;
     os << kernelKindName(kind) << " @" << precisionName(precision)
-       << " engine=" << (engineOn ? "on" : "off")
-       << " simd=" << (simdOn ? "on" : "off") << " threads="
-       << threads;
+       << " simd=" << (simdOn ? "detected" : "scalar")
+       << " threads=" << threads;
     switch (status) {
       case Status::Pass:
         os << ": pass";
@@ -272,43 +266,39 @@ runOracle(const OracleCase& c, const OracleConfig& cfg)
     OracleReport report;
     for (KernelKind kind : kinds)
         for (Precision p : cfg.precisions)
-            for (bool engine_on : cfg.engineModes)
-                for (bool simd_on : cfg.simdModes)
-                    for (int threads : cfg.threadCounts) {
-                        OracleOutcome out =
-                            judgeCombo(refs, kind, p, engine_on,
-                                       simd_on, threads, cfg);
-                        switch (out.status) {
-                          case OracleOutcome::Status::Pass:
-                            ++report.passes;
-                            break;
-                          case OracleOutcome::Status::Refused:
-                            ++report.refusals;
-                            break;
-                          case OracleOutcome::Status::Skipped:
-                            ++report.skips;
-                            break;
-                          case OracleOutcome::Status::Failed:
-                            ++report.failures;
-                            break;
-                        }
-                        report.outcomes.push_back(std::move(out));
+            for (bool simd_on : cfg.simdModes)
+                for (int threads : cfg.threadCounts) {
+                    OracleOutcome out = judgeCombo(refs, kind, p, simd_on,
+                                                   threads, cfg);
+                    switch (out.status) {
+                      case OracleOutcome::Status::Pass:
+                        ++report.passes;
+                        break;
+                      case OracleOutcome::Status::Refused:
+                        ++report.refusals;
+                        break;
+                      case OracleOutcome::Status::Skipped:
+                        ++report.skips;
+                        break;
+                      case OracleOutcome::Status::Failed:
+                        ++report.failures;
+                        break;
                     }
+                    report.outcomes.push_back(std::move(out));
+                }
     return report;
 }
 
 bool
-comboFails(KernelKind kind, Precision p, bool engine_on, bool simd_on,
-           int threads, const CsrMatrix& a, int64_t dense_width,
-           uint64_t seed, double tolerance_safety,
-           std::string* detail)
+comboFails(KernelKind kind, Precision p, bool simd_on, int threads,
+           const CsrMatrix& a, int64_t dense_width, uint64_t seed,
+           double tolerance_safety, std::string* detail)
 {
     OracleCase c;
     c.a = a;
     c.denseWidth = dense_width;
     c.seed = seed;
-    OracleConfig cfg =
-        OracleConfig::single(kind, p, engine_on, simd_on, threads);
+    OracleConfig cfg = OracleConfig::single(kind, p, simd_on, threads);
     cfg.toleranceSafety = tolerance_safety;
     const OracleReport report = runOracle(c, cfg);
     const OracleOutcome* failure = report.firstFailure();

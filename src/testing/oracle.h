@@ -4,10 +4,11 @@
  *
  * One judgement procedure for every kernel in the registry, swept
  * across the axes that have historically hidden bugs: operand
- * precision (Fp32/Tf32/Bf16/Fp16), engine on/off (ScopedEngineMode),
- * SIMD on/off (ScopedSimdMode — detected ISA vs dispatcher bypass)
- * and thread count (ScopedNumThreads).  For each expressible combo the
- * kernel either
+ * precision (Fp32/Tf32/Bf16/Fp16), SIMD backend (ScopedSimdMode — the
+ * detected ISA vs the portable Isa::Scalar backend) and thread count
+ * (ScopedNumThreads).  Each kernel has one compute() path; the judge
+ * is the naive, engine-free reference (kernels/reference.h).  For
+ * each expressible combo the kernel either
  *
  *   - refuses the input with a structured Refusal (a PASS — refusing
  *     is modeled baseline behaviour, per the paper's Table 4), or
@@ -54,13 +55,10 @@ struct OracleConfig
                                          Precision::Bf16,
                                          Precision::Fp16};
 
-    std::vector<bool> engineModes = {true, false};
-
     /**
-     * SIMD dispatcher sweep: true pins the detected ISA backend,
-     * false bypasses the dispatcher entirely (Isa::Off — the
-     * pre-SIMD inline loops).  Bitwise identity between the two is
-     * part of the conformance contract.
+     * SIMD backend sweep: true pins the detected ISA backend, false
+     * the portable Isa::Scalar backend.  Both must match the naive
+     * reference bit for bit.
      */
     std::vector<bool> simdModes = {true, false};
 
@@ -77,11 +75,10 @@ struct OracleConfig
 
     /** Narrows every axis to one value — the shrinker's view. */
     static OracleConfig single(KernelKind kind, Precision p,
-                               bool engine_on, bool simd_on,
-                               int threads);
+                               bool simd_on, int threads);
 };
 
-/** Verdict for one (kernel, precision, engine, simd, threads) combo. */
+/** Verdict for one (kernel, precision, simd, threads) combo. */
 struct OracleOutcome
 {
     enum class Status
@@ -94,13 +91,12 @@ struct OracleOutcome
 
     KernelKind kind = KernelKind::CuSparse;
     Precision precision = Precision::Fp32;
-    bool engineOn = true;
     bool simdOn = true;
     int threads = 1;
     Status status = Status::Pass;
     std::string detail; ///< Refusal reason / failure description.
 
-    /** "Flash-LLM(v1) @tf32 engine=on simd=on threads=4: ..." */
+    /** "Flash-LLM(v1) @tf32 simd=detected threads=4: ..." */
     std::string describe() const;
 };
 
@@ -140,9 +136,9 @@ OracleReport runOracle(const OracleCase& c, const OracleConfig& cfg);
  * FAILS — the predicate shape the shrinker consumes.  @p detail, when
  * non-null, receives the failure description (empty on pass).
  */
-bool comboFails(KernelKind kind, Precision p, bool engine_on,
-                bool simd_on, int threads, const CsrMatrix& a,
-                int64_t dense_width, uint64_t seed,
+bool comboFails(KernelKind kind, Precision p, bool simd_on,
+                int threads, const CsrMatrix& a, int64_t dense_width,
+                uint64_t seed,
                 double tolerance_safety = 8.0,
                 std::string* detail = nullptr);
 

@@ -265,7 +265,6 @@ writeFailureArtifact(const std::string& dir, const std::string& stem,
       << "scale " << info.scale << "\n"
       << "kernel " << kernelKindName(info.kind) << "\n"
       << "precision " << precisionName(info.precision) << "\n"
-      << "engineOn " << (info.engineOn ? 1 : 0) << "\n"
       << "simdOn " << (info.simdOn ? 1 : 0) << "\n"
       << "threads " << info.threads << "\n"
       << "denseWidth " << info.denseWidth << "\n"
@@ -310,8 +309,6 @@ loadFailureArtifact(const std::string& case_path)
                 out.info.kind = kernelKindFromNameOrThrow(rest);
             else if (key == "precision")
                 precisionFromNameOrThrow(rest, &out.info.precision);
-            else if (key == "engineOn")
-                out.info.engineOn = std::stoi(rest) != 0;
             else if (key == "simdOn")
                 out.info.simdOn = std::stoi(rest) != 0;
             else if (key == "threads")
@@ -366,9 +363,8 @@ bool
 replayArtifact(const LoadedArtifact& artifact, std::string* detail)
 {
     return comboFails(artifact.info.kind, artifact.info.precision,
-                      artifact.info.engineOn, artifact.info.simdOn,
-                      artifact.info.threads, artifact.matrix,
-                      artifact.info.denseWidth,
+                      artifact.info.simdOn, artifact.info.threads,
+                      artifact.matrix, artifact.info.denseWidth,
                       artifact.info.denseSeed,
                       /*tolerance_safety=*/8.0, detail);
 }

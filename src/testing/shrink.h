@@ -56,7 +56,6 @@ struct FailureArtifact
     int scale = 1;
     KernelKind kind = KernelKind::CuSparse;
     Precision precision = Precision::Fp32;
-    bool engineOn = true;
     bool simdOn = true;
     int threads = 1;
     int64_t denseWidth = 16;

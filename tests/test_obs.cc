@@ -27,7 +27,6 @@
 #include "engine/prepared_dense.h"
 #include "engine/simd/simd.h"
 #include "kernels/kernel.h"
-#include "kernels/reference.h"
 #include "matrix/dense.h"
 #include "obs/bench_compare.h"
 #include "obs/json.h"
@@ -257,21 +256,23 @@ TEST(ObsMetrics, ShardedCounterIsExactWhenThreadsShareShards)
 
 TEST(ObsMetrics, EngineCountersAreThreadCountIndependent)
 {
-    // Pin the modes the counters depend on, so DTC_SIMD / DTC_ENGINE
-    // legs run the same check.
-    engine::ScopedEngineMode engine_on(true);
+    // Pin the backend the counters depend on, so DTC_SIMD legs run
+    // the same check.
     engine::simd::ScopedSimdMode simd(engine::simd::detectedIsa());
     Rng rng(7);
     const CsrMatrix m = genCommunity(1024, 8, 12.0, 0.85, rng);
     auto kernel = makeKernel(KernelKind::Dtc);
     ASSERT_TRUE(kernel->prepare(m).empty());
+    // TC-GNN runs the CSR engine driver (spmmCsrRounded) at TF32.
+    auto csr_kernel = makeKernel(KernelKind::Tcgnn);
+    ASSERT_TRUE(csr_kernel->prepare(m).empty());
     const int64_t n = 75; // 9 full j-blocks plus a 3-wide tail
     DenseMatrix b(m.cols(), n);
     b.fillRandom(rng);
 
     // {vector_elems, tail_elems, b_round_ops} booked by one DTC
-    // compute() plus one referenceSpmmTf32 call, from a cold panel
-    // cache so each run rounds B once.
+    // compute() plus one TC-GNN compute(), from a cold panel cache so
+    // each run rounds B once.
     auto totals = [&](int num_threads) {
         using obs::metrics::counterValue;
         ScopedNumThreads threads(num_threads);
@@ -282,7 +283,7 @@ TEST(ObsMetrics, EngineCountersAreThreadCountIndependent)
             counterValue("engine.b_round_ops")};
         DenseMatrix c(m.rows(), n);
         kernel->compute(b, c);
-        referenceSpmmTf32(m, b, c);
+        csr_kernel->compute(b, c);
         return std::array<uint64_t, 3>{
             counterValue("engine.simd.vector_elems") - before[0],
             counterValue("engine.simd.tail_elems") - before[1],

@@ -1,41 +1,29 @@
 /**
  * @file
- * SIMD backend suite (src/engine/simd/).
- *
- * Three contracts:
- *   1. Bitwise identity — every backend (scalar, and each ISA the
- *      host supports) produces output identical to Isa::Off (the
- *      dispatcher bypass, i.e. the pre-SIMD engine loops) for every
- *      engine-routed kernel, precision, thread count and width,
- *      including ragged tails (N = 1, 7, 9, 33) and the dense-tile
- *      inner-product path.
- *   2. Dispatch — cpuid detection, the typed DTC_SIMD override
- *      (off|scalar|avx2|avx512, unknown/unsupported raise
+ * SIMD backend suite (src/engine/simd/).  Bitwise identity of every
+ * backend with the naive reference lives in
+ * tests/test_engine_equivalence.cc; this file pins the rest:
+ *   1. Dispatch — cpuid detection, the typed DTC_SIMD override
+ *      (scalar|avx2|avx512, unknown/unsupported raise
  *      DtcError(InvalidInput)), and ScopedSimdMode nesting.
- *   3. Observability — engine.simd.vector_elems / tail_elems follow
+ *   2. Observability — engine.simd.vector_elems / tail_elems follow
  *      the fixed 8-wide definitional split, independent of the
  *      physical vector width.
+ *   3. The panel-width auto-tune.
  */
 #include <gtest/gtest.h>
 
 #include <cstdlib>
-#include <cstring>
-#include <limits>
 #include <string>
 #include <vector>
 
 #include "common/aligned.h"
 #include "common/error.h"
-#include "common/parallel.h"
 #include "common/precision.h"
 #include "common/rng.h"
-#include "datasets/generators.h"
 #include "engine/engine.h"
 #include "engine/prepared_dense.h"
 #include "engine/simd/simd.h"
-#include "kernels/dtc.h"
-#include "kernels/kernel.h"
-#include "matrix/coo.h"
 
 namespace dtc {
 namespace {
@@ -86,164 +74,8 @@ supportedBackends()
     return out;
 }
 
-std::vector<std::pair<std::string, CsrMatrix>>
-simdSweepMatrices()
-{
-    std::vector<std::pair<std::string, CsrMatrix>> out;
-    Rng rng(7);
-    // Full 16x8 blocks: the register-blocked tileInner path.
-    out.emplace_back("dense-blocks",
-                     genBlockDiagonal(64, 16, 1.0, rng));
-    // Partially-filled blocks: the residue-lane (axpyPrefetch) path.
-    out.emplace_back("dense-ish", genBlockDiagonal(64, 16, 0.9, rng));
-    out.emplace_back("sparse", genUniform(128, 4.0, rng));
-    return out;
-}
-
-DenseMatrix
-runCompute(SpmmKernel& kernel, const CsrMatrix& a, int64_t n, Isa isa)
-{
-    ScopedSimdMode mode(isa);
-    Rng rng(41);
-    DenseMatrix b(a.cols(), n);
-    b.fillRandom(rng);
-    DenseMatrix c(a.rows(), n);
-    // Fresh rounding pass per call so PreparedDense cannot hand one
-    // backend a panel rounded by another (identity must hold anyway,
-    // but the test should exercise each backend's roundPanel too).
-    engine::clearPreparedDenseCache();
-    kernel.compute(b, c);
-    return c;
-}
-
-void
-expectBitwiseEqual(const DenseMatrix& a, const DenseMatrix& b)
-{
-    ASSERT_EQ(a.rows(), b.rows());
-    ASSERT_EQ(a.cols(), b.cols());
-    if (a.size() > 0) {
-        EXPECT_EQ(std::memcmp(a.data(), b.data(),
-                              a.size() * sizeof(float)),
-                  0);
-    }
-}
-
 // ---------------------------------------------------------------------
-// 1. Bitwise identity.
-// ---------------------------------------------------------------------
-
-/** Widths around the vector boundaries: 1, 7 (sub-vector), 9 (one
- * vector + tail), 33 (crosses the AVX-512 16-lane step). */
-const int64_t kSimdWidths[] = {1, 7, 9, 33};
-
-TEST(SimdEquivalence, AllEngineRoutedKernels)
-{
-    const KernelKind kinds[] = {KernelKind::CuSparse,
-                                KernelKind::Tcgnn,
-                                KernelKind::Dtc,
-                                KernelKind::DtcBase,
-                                KernelKind::DtcBalanced,
-                                KernelKind::Sputnik};
-    for (const auto& [mat_name, m] : simdSweepMatrices()) {
-        for (KernelKind kind : kinds) {
-            auto kernel = makeKernel(kind);
-            if (!kernel->prepare(m).empty())
-                continue;
-            for (int64_t n : kSimdWidths) {
-                const DenseMatrix off =
-                    runCompute(*kernel, m, n, Isa::Off);
-                for (Isa isa : supportedBackends()) {
-                    SCOPED_TRACE(std::string(kernelKindName(kind)) +
-                                 " on " + mat_name + " n=" +
-                                 std::to_string(n) + " isa=" +
-                                 engine::simd::isaName(isa));
-                    expectBitwiseEqual(
-                        off, runCompute(*kernel, m, n, isa));
-                }
-            }
-        }
-    }
-}
-
-TEST(SimdEquivalence, DtcAllPrecisionsAllThreadCounts)
-{
-    for (const auto& [mat_name, m] : simdSweepMatrices()) {
-        for (Precision p : {Precision::Tf32, Precision::Bf16,
-                            Precision::Fp16}) {
-            DtcOptions opts;
-            opts.precision = p;
-            DtcKernel kernel(opts);
-            if (!kernel.prepare(m).empty())
-                continue;
-            for (int threads : {1, 4, 8}) {
-                ScopedNumThreads nt(threads);
-                for (int64_t n : kSimdWidths) {
-                    const DenseMatrix off =
-                        runCompute(kernel, m, n, Isa::Off);
-                    for (Isa isa : supportedBackends()) {
-                        SCOPED_TRACE(
-                            mat_name + " p=" + precisionName(p) +
-                            " threads=" + std::to_string(threads) +
-                            " n=" + std::to_string(n) + " isa=" +
-                            engine::simd::isaName(isa));
-                        expectBitwiseEqual(
-                            off, runCompute(kernel, m, n, isa));
-                    }
-                }
-            }
-        }
-    }
-}
-
-/** Raw roundPanel vs the scalar roundToPrecision, including FP16
- * saturation/flush edges and non-finite passthrough. */
-TEST(SimdEquivalence, RoundPanelMatchesScalarRounding)
-{
-    AlignedVector<float> in;
-    Rng rng(23);
-    for (int i = 0; i < 1000; ++i)
-        in.push_back(rng.nextFloat(-70000.0f, 70000.0f));
-    for (int i = 0; i < 100; ++i)
-        in.push_back(rng.nextFloat(-1e-4f, 1e-4f)); // FP16 subnormals
-    const float specials[] = {
-        0.0f,
-        -0.0f,
-        65504.0f,
-        -65504.0f,
-        65520.0f,
-        std::numeric_limits<float>::infinity(),
-        -std::numeric_limits<float>::infinity(),
-        std::numeric_limits<float>::quiet_NaN(),
-        std::numeric_limits<float>::denorm_min(),
-        6.103515625e-5f,
-    };
-    in.insert(in.end(), std::begin(specials), std::end(specials));
-    // Odd total length: exercises the scalar tail of every backend.
-    in.push_back(1.5f);
-
-    const int64_t n = static_cast<int64_t>(in.size());
-    for (Precision p : {Precision::Fp32, Precision::Tf32,
-                        Precision::Bf16, Precision::Fp16}) {
-        for (Isa isa : supportedBackends()) {
-            SCOPED_TRACE(std::string(precisionName(p)) + " isa=" +
-                         engine::simd::isaName(isa));
-            const engine::simd::Kernels& K =
-                engine::simd::kernelsFor(isa);
-            AlignedVector<float> out(in.size(), 0.0f);
-            K.roundPanel(out.data(), in.data(), n, p);
-            for (int64_t i = 0; i < n; ++i) {
-                const float want = roundToPrecision(in[i], p);
-                ASSERT_EQ(std::memcmp(&out[i], &want, sizeof(float)),
-                          0)
-                    << "i=" << i << " in=" << in[i] << " got="
-                    << out[i] << " want=" << want;
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// 2. Dispatch.
+// 1. Dispatch.
 // ---------------------------------------------------------------------
 
 TEST(SimdDispatch, DetectedIsaIsSupportedAndDefault)
@@ -251,7 +83,6 @@ TEST(SimdDispatch, DetectedIsaIsSupportedAndDefault)
     EnvGuard guard("DTC_SIMD");
     const Isa detected = engine::simd::detectedIsa();
     EXPECT_TRUE(engine::simd::isaSupported(detected));
-    EXPECT_NE(detected, Isa::Off);
     // With no env and no override, activeIsa is the detection.
     EXPECT_EQ(engine::simd::activeIsa(), detected);
     EXPECT_EQ(engine::simd::kernels().isa, detected);
@@ -260,8 +91,6 @@ TEST(SimdDispatch, DetectedIsaIsSupportedAndDefault)
 TEST(SimdDispatch, EnvOverrideIsHonoured)
 {
     EnvGuard guard("DTC_SIMD");
-    guard.set("off");
-    EXPECT_EQ(engine::simd::activeIsa(), Isa::Off);
     guard.set("scalar");
     EXPECT_EQ(engine::simd::activeIsa(), Isa::Scalar);
     for (Isa isa : {Isa::Avx2, Isa::Avx512}) {
@@ -276,31 +105,37 @@ TEST(SimdDispatch, EnvOverrideIsHonoured)
 TEST(SimdDispatch, UnknownEnvValueRaisesTypedError)
 {
     EnvGuard guard("DTC_SIMD");
-    guard.set("avx-512"); // typo'd knob must fail loudly
-    try {
-        engine::simd::activeIsa();
-        FAIL() << "expected DtcError";
-    } catch (const DtcError& e) {
-        EXPECT_EQ(e.code(), ErrorCode::InvalidInput);
-        EXPECT_NE(std::string(e.what()).find("DTC_SIMD"),
-                  std::string::npos);
+    // A typo'd knob must fail loudly; so must "off", which no longer
+    // names a backend.
+    for (const char* value : {"avx-512", "off"}) {
+        SCOPED_TRACE(value);
+        guard.set(value);
+        try {
+            engine::simd::activeIsa();
+            FAIL() << "expected DtcError";
+        } catch (const DtcError& e) {
+            EXPECT_EQ(e.code(), ErrorCode::InvalidInput);
+            EXPECT_NE(std::string(e.what()).find("DTC_SIMD"),
+                      std::string::npos);
+        }
     }
 }
 
 TEST(SimdDispatch, ScopedModeOverridesEnvAndNests)
 {
     EnvGuard guard("DTC_SIMD");
-    guard.set("off");
+    guard.set("scalar");
+    const Isa detected = engine::simd::detectedIsa();
     {
-        ScopedSimdMode outer(Isa::Scalar);
-        EXPECT_EQ(engine::simd::activeIsa(), Isa::Scalar);
+        ScopedSimdMode outer(detected);
+        EXPECT_EQ(engine::simd::activeIsa(), detected);
         {
-            ScopedSimdMode inner(Isa::Off);
-            EXPECT_EQ(engine::simd::activeIsa(), Isa::Off);
+            ScopedSimdMode inner(Isa::Scalar);
+            EXPECT_EQ(engine::simd::activeIsa(), Isa::Scalar);
         }
-        EXPECT_EQ(engine::simd::activeIsa(), Isa::Scalar);
+        EXPECT_EQ(engine::simd::activeIsa(), detected);
     }
-    EXPECT_EQ(engine::simd::activeIsa(), Isa::Off); // env again
+    EXPECT_EQ(engine::simd::activeIsa(), Isa::Scalar); // env again
 }
 
 TEST(SimdDispatch, KernelsForUnavailableBackendRaises)
@@ -312,12 +147,11 @@ TEST(SimdDispatch, KernelsForUnavailableBackendRaises)
             EXPECT_THROW(engine::simd::kernelsFor(isa), DtcError);
         }
     }
-    EXPECT_EQ(engine::simd::kernelsFor(Isa::Off).isa, Isa::Off);
     EXPECT_EQ(engine::simd::kernelsFor(Isa::Scalar).isa, Isa::Scalar);
 }
 
 // ---------------------------------------------------------------------
-// 3. Observability counters.
+// 2. Observability counters.
 // ---------------------------------------------------------------------
 
 TEST(SimdCounters, FollowTheFixed8WideSplit)
@@ -339,13 +173,6 @@ TEST(SimdCounters, FollowTheFixed8WideSplit)
             EXPECT_EQ(engine::simd::stats().tailElems.load(), 1u);
         }
     }
-    // The Off table bypasses the dispatcher: no counters at all.
-    engine::simd::resetStats();
-    const engine::simd::Kernels& off =
-        engine::simd::kernelsFor(Isa::Off);
-    off.axpy(c.data(), b.data(), 2.0f, 33);
-    EXPECT_EQ(engine::simd::stats().vectorElems.load(), 0u);
-    EXPECT_EQ(engine::simd::stats().tailElems.load(), 0u);
 }
 
 TEST(SimdCounters, PreparedDenseBooksWholePasses)
@@ -369,7 +196,7 @@ TEST(SimdCounters, PreparedDenseBooksWholePasses)
 }
 
 // ---------------------------------------------------------------------
-// Panel-width auto-tune (satellite: engine::panelColsBase).
+// 3. Panel-width auto-tune (engine::panelColsBase).
 // ---------------------------------------------------------------------
 
 TEST(PanelCols, OverridesResolveStrongestFirst)
