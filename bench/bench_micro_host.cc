@@ -24,7 +24,6 @@
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "engine/engine.h"
-#include "engine/prepared_dense.h"
 #include "engine/simd/simd.h"
 #include "gpusim/cost_model.h"
 #include "kernels/kernel.h"
@@ -271,7 +270,6 @@ BM_DtcComputeSimd(benchmark::State& state)
     DenseMatrix b(m.cols(), n);
     b.fillRandom(rng);
     DenseMatrix c(m.rows(), n);
-    engine::clearPreparedDenseCache();
     for (auto _ : state) {
         kernel->compute(b, c);
         benchmark::DoNotOptimize(c.data());
@@ -372,18 +370,17 @@ struct SmokeRow
     double offMs;
     double onMs;
     uint64_t legacyBRoundOps; ///< reps * nnz * N (per-use rounding).
-    uint64_t engineBRoundOps; ///< measured: K * N once per cache fill.
+    uint64_t engineBRoundOps; ///< measured: reps * K * N (once per call).
 };
 
 /**
  * Naive referenceSpmmTf32 (@p naive_ms, timed by the caller after a
- * warm-up call) vs the engine-routed @p fn, timed from a cold
- * PreparedDense cache so the one-time panel rounding is billed to the
- * engine.  The reference rounds B per touching nonzero, reps*nnz*N
- * roundings in all; the engine's are measured.  Reads the engine
- * counters as before/after deltas instead of resetting them, so the
- * cumulative totals survive into the metrics snapshot this binary
- * writes in --smoke mode.
+ * warm-up call) vs the engine-routed @p fn.  Each timed call rounds B
+ * once (K*N roundings), as production calls do; the reference rounds
+ * B per touching nonzero, reps*nnz*N roundings in all.  The engine's
+ * are measured.  Reads the engine counters as before/after deltas
+ * instead of resetting them, so the cumulative totals survive into
+ * the metrics snapshot this binary writes in --smoke mode.
  */
 template <typename F>
 SmokeRow
@@ -394,7 +391,6 @@ smokeCompare(const char* kernel_name, const CsrMatrix& m, int64_t n,
     row.kernel = kernel_name;
     row.n = n;
     row.offMs = naive_ms;
-    engine::clearPreparedDenseCache();
     const uint64_t round0 = engine::stats().roundingOps.load();
     row.onMs = bench::timedMs(reps, fn);
     row.engineBRoundOps = engine::stats().roundingOps.load() - round0;
@@ -420,14 +416,12 @@ simdSmokeCompare(const char* kernel_name, int64_t n, int reps, F&& fn)
     row.engineBRoundOps = 0;
     {
         engine::simd::ScopedSimdMode simd(engine::simd::Isa::Scalar);
-        engine::clearPreparedDenseCache();
-        fn(); // warm-up: touch B/C pages, fill the panel cache
+        fn(); // warm-up: touch B/C pages
         row.offMs = bench::timedMs(reps, fn);
     }
     {
         engine::simd::ScopedSimdMode simd(
             engine::simd::detectedIsa());
-        engine::clearPreparedDenseCache();
         fn();
         row.onMs = bench::timedMs(reps, fn);
     }
@@ -500,7 +494,7 @@ threadScalingSmoke(const char* kernel_name, int64_t n, F&& fn)
     row.n = n;
     row.legacyBRoundOps = 0;
     row.engineBRoundOps = 0;
-    fn(); // warm-up: touch B/C pages, fill the panel cache
+    fn(); // warm-up: touch B/C pages
     std::vector<double> one, many;
     for (int i = 0; i < kScalingReps; ++i) {
         {

@@ -3,8 +3,8 @@
  * 64-byte-aligned heap allocation.
  *
  * The SIMD engine (src/engine/simd/) loads the lane/tile arrays built
- * by DtcKernel::prepare() and the rounded B panels of PreparedDense
- * with vector instructions.  A default-aligned std::vector<float> only
+ * by DtcKernel::prepare() and the rounded copy of B that PreparedDense
+ * owns with vector instructions.  A default-aligned std::vector<float> only
  * guarantees alignof(float); issuing *aligned* vector loads against it
  * would be UB, and even with unaligned loads a buffer that straddles
  * cache lines costs split accesses.  AlignedVector pins every such

@@ -5,8 +5,6 @@
 
 #include <unistd.h>
 
-#include "common/env.h"
-
 namespace dtc {
 namespace engine {
 
@@ -53,8 +51,6 @@ panelColsBase()
 {
     if (tlsPanelCols > 0)
         return tlsPanelCols;
-    if (const auto v = env::readInt64("DTC_PANEL_COLS", 8, 1 << 20))
-        return *v;
     static std::atomic<int64_t> probed{0};
     int64_t base = probed.load(std::memory_order_relaxed);
     if (base == 0) {
@@ -88,8 +84,6 @@ stats()
 {
     static Stats s{
         obs::metrics::counter("engine.b_round_ops"),
-        obs::metrics::counter("engine.panel_hits"),
-        obs::metrics::counter("engine.panel_misses"),
     };
     return s;
 }
@@ -98,8 +92,6 @@ void
 resetStats()
 {
     stats().roundingOps.reset();
-    stats().panelHits.reset();
-    stats().panelMisses.reset();
 }
 
 } // namespace engine

@@ -13,9 +13,9 @@
  * On the host the same factors dominate, so the engine provides their
  * CPU analogs:
  *   - PreparedDense (prepared_dense.h): B is rounded to the target
- *     tensor-core precision once per (contents, precision) pair —
- *     O(K*N) rounding ops — instead of once per touching nonzero
- *     inside each kernel's hot loop (O(nnz*N));
+ *     tensor-core precision once per compute() call — O(K*N)
+ *     rounding ops — instead of once per touching nonzero inside
+ *     each kernel's hot loop (O(nnz*N));
  *   - column-panel tiling (panelCols): the N dimension is processed
  *     in L1/L2-sized panels so each row window's C slab and the B
  *     panel behind it stay cache-resident (the VFD/SMB analog);
@@ -59,12 +59,11 @@ int64_t panelCols(int64_t n);
 
 /**
  * The base panel width, resolved strongest-first from: an active
- * ScopedPanelCols on the calling thread; the DTC_PANEL_COLS knob
- * (typed, [8, 1M], re-read per call so tests can toggle it); a
- * one-shot sysconf L2/L3 cache probe rounded down to a multiple of
- * kJBlock and clamped to [64, 4096] (cached after the first call, and
- * published as the "engine.panel_cols" gauge); kPanelCols when the
- * probe is unavailable.  Keeping the width a multiple of kJBlock
+ * ScopedPanelCols on the calling thread; a one-shot sysconf L2/L3
+ * cache probe rounded down to a multiple of kJBlock and clamped to
+ * [64, 4096] (cached after the first call, and published as the
+ * "engine.panel_cols" gauge); kPanelCols when the probe is
+ * unavailable.  Keeping the width a multiple of kJBlock
  * keeps the engine.simd.* element counters independent of the panel
  * split (only the last panel can be partial).
  */
@@ -93,22 +92,19 @@ constexpr int64_t kJBlock = 8;
 
 /**
  * Process-wide engine counters, backed by the observability metrics
- * registry (obs/metrics.h) under the names "engine.b_round_ops",
- * "engine.panel_hits" and "engine.panel_misses" — so they appear in
- * metrics::toJson() snapshots and bench_compare gates on them.
- * Bump them with add(), read them with load(); resetStats() zeroes
- * them.
+ * registry (obs/metrics.h) under the name "engine.b_round_ops" — so
+ * it appears in metrics::toJson() snapshots and bench_compare gates
+ * on it.  Bump it with add(), read it with load(); resetStats()
+ * zeroes it.
  *
  * roundingOps is the measurable form of the O(nnz*N) -> O(K*N)
  * B-rounding reduction: PreparedDense bumps it by rows*cols once per
- * cache miss, while rounding inside the hot loop (as the naive
- * referenceSpmmRounded does) performs nnz*N roundings per call.
+ * non-Fp32 compute() call, while rounding inside the hot loop (as the
+ * naive referenceSpmmRounded does) performs nnz*N roundings per call.
  */
 struct Stats
 {
     obs::Counter& roundingOps;  ///< B elements rounded.
-    obs::Counter& panelHits;    ///< PreparedDense cache hits.
-    obs::Counter& panelMisses;  ///< PreparedDense cache misses.
 };
 
 Stats& stats();

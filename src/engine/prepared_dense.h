@@ -1,20 +1,18 @@
 /**
  * @file
- * PreparedDense — the engine's B-panel cache.
+ * PreparedDense — B rounded once per compute() call.
  *
  * Tensor-core kernels round every B operand to the MMA input
  * precision (TF32/BF16/FP16).  The naive reference does that inside the
  * innermost loop — O(nnz*N) roundings per compute() call, the single
  * largest source of per-element overhead on the host.  PreparedDense
- * rounds B exactly once per (contents, precision) pair — O(K*N) —
- * and shares the rounded copy across kernels, tuner candidates and
- * repeated launches through a small process-wide LRU keyed by
- * (data pointer, shape, precision, content hash).  The content hash
- * is a full deterministic pass over B, so a matrix mutated in place
- * (a GCN feature matrix between training steps) re-rounds instead of
- * serving stale panels.
+ * rounds B exactly once per construction — O(K*N) — into a buffer it
+ * owns, and the kernel's hot loop reads the rounded rows from there.
+ * Nothing outlives the object: a matrix mutated in place between
+ * calls (a GCN feature matrix between training steps) is simply
+ * rounded afresh by the next call.
  *
- * Fp32 needs no rounding: acquisition is a zero-copy view of the
+ * Fp32 needs no rounding: the object is a zero-copy view of the
  * caller's matrix (the SMB analog — no staging copy at all).
  *
  * Rounding is elementwise, so the rounded buffer is bitwise
@@ -25,7 +23,6 @@
 #define DTC_HOST_ENGINE_PREPARED_DENSE_H
 
 #include <cstdint>
-#include <memory>
 
 #include "common/aligned.h"
 #include "common/precision.h"
@@ -42,11 +39,13 @@ class PreparedDense
 {
   public:
     /**
-     * Acquires the rounded form of @p b under precision @p p: a
-     * cache hit, a fresh rounding pass (cache miss), or a
-     * pass-through view for Fp32.
+     * Rounds @p b to precision @p p into an owned buffer, or views
+     * @p b in place for Fp32.
      */
     PreparedDense(const DenseMatrix& b, Precision p);
+
+    PreparedDense(const PreparedDense&) = delete;
+    PreparedDense& operator=(const PreparedDense&) = delete;
 
     int64_t rows() const { return nRows; }
     int64_t cols() const { return nCols; }
@@ -58,19 +57,12 @@ class PreparedDense
         return base + r * nCols;
     }
 
-    /** True when this view came from the process-wide cache. */
-    bool fromCache() const { return cached; }
-
   private:
-    std::shared_ptr<const AlignedVector<float>> owned;
+    AlignedVector<float> owned;
     const float* base = nullptr;
     int64_t nRows = 0;
     int64_t nCols = 0;
-    bool cached = false;
 };
-
-/** Drops every cached panel (tests / benchmarks). */
-void clearPreparedDenseCache();
 
 } // namespace engine
 } // namespace dtc

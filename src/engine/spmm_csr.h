@@ -14,7 +14,7 @@
  * Panel tiling only reorders work across *distinct* output columns;
  * for any single C element the nonzeros are applied in exactly the
  * CSR order the naive reference uses, so outputs are bitwise
- * identical.  B comes from PreparedDense (rounded once); A values are rounded
+ * identical.  B comes from PreparedDense (rounded once per call); A values are rounded
  * inline per panel — O(nnz * N/panel), negligible next to the
  * O(nnz*N) B-rounding this replaces.
  */

@@ -23,42 +23,29 @@ gemm(const DenseMatrix& a, bool transpose_a, const DenseMatrix& b,
     auto ea = [&](int64_t i, int64_t j) {
         return transpose_a ? a.at(j, i) : a.at(i, j);
     };
-    auto eb = [&](int64_t i, int64_t j) {
-        return transpose_b ? b.at(j, i) : b.at(i, j);
-    };
+    // Transposed B is copied once into a k x n matrix, so B row kk is
+    // contiguous and the inner loop is the SIMD axpy the SpMM kernels
+    // use.  The one caller (GcnLayer::backward's dz * W^T) transposes
+    // the small weight matrix.
+    const DenseMatrix bt = transpose_b ? b.transposed() : DenseMatrix();
+    const DenseMatrix& bk = transpose_b ? bt : b;
 
+    // Panel-tiled over N; per C element the kk order and the av == 0
+    // skip are those of a naive i-k-j loop, so the output is bitwise
+    // that loop's.
     c.setZero();
-    if (!transpose_b) {
-        // Engine path: eb(kk, j) is contiguous B row kk, so the inner
-        // loop is the SIMD axpy the SpMM kernels use, panel-tiled over
-        // N.  Per C element the kk order (and the av == 0 skip) is the
-        // i-k-j loop's below — bitwise-identical output.
-        const engine::simd::Kernels& K = engine::simd::kernels();
-        const int64_t pw = engine::panelCols(n);
-        for (int64_t j0 = 0; j0 < n; j0 += pw) {
-            const int64_t pn = std::min(pw, n - j0);
-            for (int64_t i = 0; i < m; ++i) {
-                float* crow = c.row(i) + j0;
-                for (int64_t kk = 0; kk < k; ++kk) {
-                    const float av = ea(i, kk);
-                    if (av == 0.0f)
-                        continue;
-                    K.axpy(crow, b.row(kk) + j0, av, pn);
-                }
+    const engine::simd::Kernels& K = engine::simd::kernels();
+    const int64_t pw = engine::panelCols(n);
+    for (int64_t j0 = 0; j0 < n; j0 += pw) {
+        const int64_t pn = std::min(pw, n - j0);
+        for (int64_t i = 0; i < m; ++i) {
+            float* crow = c.row(i) + j0;
+            for (int64_t kk = 0; kk < k; ++kk) {
+                const float av = ea(i, kk);
+                if (av == 0.0f)
+                    continue;
+                K.axpy(crow, bk.row(kk) + j0, av, pn);
             }
-        }
-        return;
-    }
-    // Transposed B: an i-k-j loop keeps the inner loop streaming over
-    // C rows.
-    for (int64_t i = 0; i < m; ++i) {
-        float* crow = c.row(i);
-        for (int64_t kk = 0; kk < k; ++kk) {
-            const float av = ea(i, kk);
-            if (av == 0.0f)
-                continue;
-            for (int64_t j = 0; j < n; ++j)
-                crow[j] += av * eb(kk, j);
         }
     }
 }

@@ -1,9 +1,6 @@
 #include "runtime/runtime.h"
 
-#include <algorithm>
-#include <chrono>
 #include <limits>
-#include <thread>
 
 #include "common/cancel.h"
 #include "common/check.h"
@@ -156,8 +153,6 @@ Runtime::run(const DenseMatrix& b, DenseMatrix& c, RunReport* report)
     obs::ScopedTimerMs run_timer("runtime.run_ms");
 
     RunReport rep;
-    const int max_attempts = std::max(1, opt.maxAttemptsPerKernel);
-
     // Two passes over the tuner's ranking: first honouring breakers,
     // then — if every closed/half-open path failed — forcing a probe
     // through open breakers rather than failing a servable request.
@@ -175,7 +170,8 @@ Runtime::run(const DenseMatrix& b, DenseMatrix& c, RunReport* report)
                     br.onFailure();
                 continue;
             }
-            for (int attempt = 1; attempt <= max_attempts; ++attempt) {
+            for (int attempt = 1; attempt <= kMaxAttemptsPerKernel;
+                 ++attempt) {
                 cancel::poll();
                 ++rep.attempts;
                 try {
@@ -196,17 +192,9 @@ Runtime::run(const DenseMatrix& b, DenseMatrix& c, RunReport* report)
                     rep.failures.push_back(std::move(att));
                     br.onFailure();
                     if (isTransient(err.code()) &&
-                        attempt < max_attempts &&
+                        attempt < kMaxAttemptsPerKernel &&
                         br.state() == CircuitBreaker::State::Closed) {
                         ++rep.retries;
-                        if (opt.retryBackoffBaseMs > 0.0) {
-                            const double ms =
-                                opt.retryBackoffBaseMs *
-                                static_cast<double>(1 << (attempt - 1));
-                            std::this_thread::sleep_for(
-                                std::chrono::duration<double,
-                                                      std::milli>(ms));
-                        }
                         continue; // same kernel, next attempt
                     }
                     break; // reroute to next candidate

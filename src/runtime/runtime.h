@@ -14,9 +14,10 @@
  *     SpMM aborts mid-flight with DtcError{DeadlineExceeded} and no
  *     leaked state.
  *   - Retry + circuit breaker: transient ResourceExhausted failures
- *     retry with exponential backoff; persistent failures trip the
- *     kernel's CircuitBreaker (runtime/breaker.h) and the request
- *     reroutes to the tuner's next-best candidate.  This is the
+ *     retry the same kernel at once, up to kMaxAttemptsPerKernel
+ *     attempts; persistent failures trip the kernel's CircuitBreaker
+ *     (runtime/breaker.h) and the request reroutes to the tuner's
+ *     next-best candidate.  This is the
  *     paper's Selector-fallback idea (Section 6) lifted from "pick a
  *     strategy per matrix" to "pick a survivor per request".
  *   - Online result validation: the sampled-row guard
@@ -50,25 +51,18 @@
 namespace dtc {
 namespace runtime {
 
+/**
+ * Attempts per kernel for *transient* (ResourceExhausted) failures;
+ * other failure codes reroute immediately.  Retries follow at once,
+ * with no sleep in between.
+ */
+constexpr int kMaxAttemptsPerKernel = 3;
+
 /** Knobs for one Runtime instance. */
 struct RuntimeOptions
 {
     /** Tuner request (candidates, dense width, iteration horizon). */
     TuneRequest tune;
-
-    /**
-     * Attempts per kernel for *transient* (ResourceExhausted)
-     * failures; other failure codes reroute immediately.
-     */
-    int maxAttemptsPerKernel = 3;
-
-    /**
-     * Backoff before retry r is base * 2^(r-1) milliseconds; 0
-     * disables sleeping (retry sequencing stays identical — the
-     * backoff only affects wall-clock, keeping DTC_FAULT tests
-     * deterministic and fast).
-     */
-    double retryBackoffBaseMs = 0.0;
 
     /** Breaker thresholds for breakers this runtime creates. */
     BreakerOptions breaker;

@@ -16,8 +16,7 @@
  * Identity is the *contents*, not the pointer: acquire() hashes A's
  * arrays (FNV-1a, deterministic for any thread count), so a caller
  * that mutates its matrix in place gets a fresh entry — never stale
- * prepared state — exactly like the engine's PreparedDense B-panel
- * cache one level down.
+ * prepared state.
  *
  * Capacity is a byte budget (ServeOptions::cacheBytes, falling back
  * to ResourceBudget::current().stagingBytes): inserting past it

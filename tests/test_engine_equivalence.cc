@@ -7,8 +7,9 @@
  * widths (ragged j-block tails, the AVX-512 16-lane step, panel-exact
  * and multi-panel N), operand precisions and thread counts.  Also pins
  * the rounding PreparedDense and the roundPanel micro-kernels perform,
- * the PreparedDense cache semantics, and that the reference itself
- * books no engine work (so it cannot share a bug with the engine).
+ * that every compute() call rounds B afresh, and that the reference
+ * itself books no engine work (so it cannot share a bug with the
+ * engine).
  */
 #include <gtest/gtest.h>
 
@@ -115,16 +116,15 @@ naive(const CsrMatrix& a, const DenseMatrix& b, Precision p)
     return c;
 }
 
-/** compute() on backend @p isa, from a cold PreparedDense cache. */
+/**
+ * compute() on backend @p isa; the call rounds B with that backend's
+ * roundPanel, so each backend's rounding is exercised too.
+ */
 DenseMatrix
 runCompute(const SpmmKernel& kernel, const DenseMatrix& b, int64_t rows,
            Isa isa)
 {
     ScopedSimdMode mode(isa);
-    // Fresh rounding pass per call so PreparedDense cannot hand one
-    // backend a panel rounded by another: each backend's roundPanel
-    // is exercised too.
-    engine::clearPreparedDenseCache();
     DenseMatrix c(rows, b.cols());
     kernel.compute(b, c);
     return c;
@@ -299,11 +299,10 @@ engineMetrics()
 
 /**
  * The judge never goes through the engine: no PreparedDense rounding,
- * no panel-cache traffic, no SIMD dispatch.
+ * no SIMD dispatch.
  */
 TEST(EngineEquivalence, ReferenceBooksNoEngineWork)
 {
-    engine::clearPreparedDenseCache();
     Rng rng(8);
     const CsrMatrix m = genCommunity(256, 8, 10.0, 0.85, rng);
     const DenseMatrix b = randomDense(m.cols(), 75);
@@ -353,57 +352,42 @@ TEST(EngineEquivalence, GemmAllTransposeCombos)
     }
 }
 
-TEST(EngineEquivalence, PreparedDenseCacheHitsAndInvalidation)
+/**
+ * PreparedDense keeps nothing between calls: two Tf32 compute() calls
+ * on an unchanged B round it twice (2*K*N rounding ops), a call after
+ * an in-place edit of B sees the edit, and Fp32 is a zero-copy view
+ * that rounds nothing.
+ */
+TEST(EngineEquivalence, EveryComputeRoundsB)
 {
-    engine::clearPreparedDenseCache();
-    engine::resetStats();
     Rng rng(3);
-    DenseMatrix b(64, 32);
-    b.fillRandom(rng);
+    const CsrMatrix m = genCommunity(128, 8, 10.0, 0.85, rng);
+    auto kernel = makeKernelAt(KernelKind::Dtc, Precision::Tf32);
+    ASSERT_NE(kernel, nullptr);
+    ASSERT_TRUE(kernel->prepare(m).empty());
+    DenseMatrix b = randomDense(m.cols(), 32);
+    const uint64_t kn = static_cast<uint64_t>(b.size());
 
-    {
-        engine::PreparedDense p1(b, Precision::Tf32);
-        EXPECT_FALSE(p1.fromCache());
-    }
-    EXPECT_EQ(engine::stats().panelMisses.load(), 1u);
-    EXPECT_EQ(engine::stats().roundingOps.load(),
-              static_cast<uint64_t>(64 * 32));
+    const uint64_t ops0 = engine::stats().roundingOps.load();
+    DenseMatrix c(m.rows(), b.cols());
+    kernel->compute(b, c);
+    kernel->compute(b, c);
+    EXPECT_EQ(engine::stats().roundingOps.load() - ops0, 2 * kn);
 
-    {
-        // Same contents: served from cache, no new rounding.
-        engine::PreparedDense p2(b, Precision::Tf32);
-        EXPECT_TRUE(p2.fromCache());
-    }
-    EXPECT_EQ(engine::stats().panelHits.load(), 1u);
-    EXPECT_EQ(engine::stats().roundingOps.load(),
-              static_cast<uint64_t>(64 * 32));
-
-    {
-        // Different precision: its own entry.
-        engine::PreparedDense p3(b, Precision::Fp16);
-        EXPECT_FALSE(p3.fromCache());
-    }
-    EXPECT_EQ(engine::stats().panelMisses.load(), 2u);
-
-    // In-place mutation (a GCN feature matrix between steps) must
-    // re-round rather than serve the stale panel.
+    // In-place edit (a GCN feature matrix between steps): the next
+    // call rounds the new contents.
     b.at(5, 7) += 1.0f;
-    {
-        engine::PreparedDense p4(b, Precision::Tf32);
-        EXPECT_FALSE(p4.fromCache());
-    }
-    EXPECT_EQ(engine::stats().panelMisses.load(), 3u);
+    kernel->compute(b, c);
+    expectBitwiseEqual(naive(m, b, Precision::Tf32), c);
+    EXPECT_EQ(engine::stats().roundingOps.load() - ops0, 3 * kn);
 
-    // Fp32 is pass-through: no rounding, no cache traffic.
+    // Fp32 is pass-through: no rounding, no copy.
     const uint64_t ops = engine::stats().roundingOps.load();
     {
-        engine::PreparedDense p5(b, Precision::Fp32);
-        EXPECT_FALSE(p5.fromCache());
-        EXPECT_EQ(p5.row(0), b.row(0));
+        const engine::PreparedDense pd(b, Precision::Fp32);
+        EXPECT_EQ(pd.row(0), b.row(0));
     }
     EXPECT_EQ(engine::stats().roundingOps.load(), ops);
-
-    engine::clearPreparedDenseCache();
 }
 
 /**
@@ -458,12 +442,10 @@ TEST(EngineEquivalence, PreparedDenseValuesMatchScalarRounding)
             expectRounded(out.data(), p);
 
             ScopedSimdMode mode(isa);
-            engine::clearPreparedDenseCache();
             const engine::PreparedDense pd(b, p);
             expectRounded(pd.row(0), p);
         }
     }
-    engine::clearPreparedDenseCache();
 }
 
 } // namespace

@@ -24,7 +24,6 @@
 #include "common/rng.h"
 #include "datasets/generators.h"
 #include "engine/engine.h"
-#include "engine/prepared_dense.h"
 #include "engine/simd/simd.h"
 #include "kernels/kernel.h"
 #include "matrix/dense.h"
@@ -271,12 +270,10 @@ TEST(ObsMetrics, EngineCountersAreThreadCountIndependent)
     b.fillRandom(rng);
 
     // {vector_elems, tail_elems, b_round_ops} booked by one DTC
-    // compute() plus one TC-GNN compute(), from a cold panel cache so
-    // each run rounds B once.
+    // compute() plus one TC-GNN compute(); each call rounds B once.
     auto totals = [&](int num_threads) {
         using obs::metrics::counterValue;
         ScopedNumThreads threads(num_threads);
-        engine::clearPreparedDenseCache();
         const std::array<uint64_t, 3> before = {
             counterValue("engine.simd.vector_elems"),
             counterValue("engine.simd.tail_elems"),
@@ -291,11 +288,10 @@ TEST(ObsMetrics, EngineCountersAreThreadCountIndependent)
     };
     const std::array<uint64_t, 3> one = totals(1);
     const std::array<uint64_t, 3> four = totals(4);
-    engine::clearPreparedDenseCache();
 
     EXPECT_EQ(one, four);
     EXPECT_GT(one[0] + one[1], 0u);
-    EXPECT_EQ(one[2], static_cast<uint64_t>(b.size()));
+    EXPECT_EQ(one[2], 2 * static_cast<uint64_t>(b.size()));
 }
 
 TEST(ObsMetrics, ToJsonRoundTripsThroughReader)

@@ -177,7 +177,6 @@ TEST(SimdCounters, FollowTheFixed8WideSplit)
 
 TEST(SimdCounters, PreparedDenseBooksWholePasses)
 {
-    engine::clearPreparedDenseCache();
     Rng rng(31);
     DenseMatrix b(15, 33); // 495 elements: 61 vectors + 7-wide tail
     b.fillRandom(rng);
@@ -192,7 +191,6 @@ TEST(SimdCounters, PreparedDenseBooksWholePasses)
                   total - total % 8);
         EXPECT_EQ(engine::simd::stats().tailElems.load(), total % 8);
     }
-    engine::clearPreparedDenseCache();
 }
 
 // ---------------------------------------------------------------------
@@ -201,32 +199,20 @@ TEST(SimdCounters, PreparedDenseBooksWholePasses)
 
 TEST(PanelCols, OverridesResolveStrongestFirst)
 {
-    EnvGuard guard("DTC_PANEL_COLS");
     // Probe/default path: multiple of kJBlock inside the clamp.
-    guard.unset();
     const int64_t base = engine::panelColsBase();
     EXPECT_GE(base, 64);
     EXPECT_LE(base, 4096);
     EXPECT_EQ(base % engine::kJBlock, 0);
 
-    // Env knob beats the probe.
-    guard.set("128");
-    EXPECT_EQ(engine::panelColsBase(), 128);
-    // Typed validation: garbage raises instead of silently ignoring.
-    guard.set("many");
-    EXPECT_THROW(engine::panelColsBase(), DtcError);
-    guard.set("0");
-    EXPECT_THROW(engine::panelColsBase(), DtcError);
-
-    // Scoped override beats the env knob.
-    guard.set("128");
+    // Scoped override beats the probe.
     {
         engine::ScopedPanelCols pin(64);
         EXPECT_EQ(engine::panelColsBase(), 64);
         EXPECT_EQ(engine::panelCols(1000), 64);
         EXPECT_EQ(engine::panelCols(128), 128); // single panel
     }
-    EXPECT_EQ(engine::panelColsBase(), 128);
+    EXPECT_EQ(engine::panelColsBase(), base);
 }
 
 } // namespace
