@@ -753,6 +753,25 @@ runEngineSmoke(const std::string& out_path,
         scaling.push_back(threadScalingSmoke(
             "TcgnnKernel::compute threads_1_4", n,
             [&] { tcgnn_kernel->compute(b, c); }));
+        // The guard judging every row of that result: its sampled
+        // rows run on the pool like the kernels' own rows do.
+        dtc_kernel->compute(b, c);
+        runtime::guard::GuardOptions gopt;
+        gopt.sampleFraction = 1.0;
+        bool guard_ok = true;
+        scaling.push_back(threadScalingSmoke(
+            "guard::checkSampledRows threads_1_4", n, [&] {
+                guard_ok = runtime::guard::checkSampledRows(
+                                m, b, c, Precision::Tf32, gopt)
+                                .ok() &&
+                            guard_ok;
+            }));
+        if (!guard_ok) {
+            std::fprintf(stderr,
+                         "smoke: the guard rejected a correct DTC "
+                         "result\n");
+            return 1;
+        }
     }
     rows.insert(rows.end(), scaling.begin(), scaling.end());
 

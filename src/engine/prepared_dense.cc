@@ -24,8 +24,10 @@ PreparedDense::PreparedDense(const DenseMatrix& b, Precision p)
     }
 
     DTC_TRACE_SCOPE("engine.prepare_dense");
-    owned.resize(b.size());
-    float* out = owned.data();
+    // No value-initialisation: the parallel rounding pass below
+    // writes every element, so it is also the buffer's first touch.
+    owned = makeAlignedArray<float>(b.size());
+    float* out = owned.get();
     const float* in = b.data();
     // Table resolved on the calling thread (a thread-local
     // ScopedSimdMode would not reach parallelFor workers).

@@ -58,7 +58,8 @@ class PreparedDense
     }
 
   private:
-    AlignedVector<float> owned;
+    /** Uninitialised until the rounding pass, its first touch. */
+    AlignedArray<float> owned;
     const float* base = nullptr;
     int64_t nRows = 0;
     int64_t nCols = 0;

@@ -176,8 +176,12 @@ inline __m512
 roundMantissa16(__m512 x)
 {
     const __m512i bits = _mm512_castps_si512(x);
+    // The all-lanes masked shift gives the same bits as
+    // _mm512_srli_epi32, whose _mm512_undefined_epi32() pass-through
+    // operand trips gcc's -Wmaybe-uninitialized under ASan/UBSan.
     const __m512i lsb = _mm512_and_si512(
-        _mm512_srli_epi32(bits, Drop), _mm512_set1_epi32(1));
+        _mm512_maskz_srli_epi32(0xFFFF, bits, Drop),
+        _mm512_set1_epi32(1));
     __m512i r = _mm512_add_epi32(
         bits, _mm512_add_epi32(
                   _mm512_set1_epi32((1 << (Drop - 1)) - 1), lsb));

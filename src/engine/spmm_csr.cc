@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/cancel.h"
+#include "common/check.h"
 #include "common/parallel.h"
 #include "engine/engine.h"
 #include "engine/prepared_dense.h"
@@ -19,13 +20,15 @@ spmmCsrRounded(int64_t rows, const int64_t* row_ptr,
     const int64_t n = c.cols();
     const PreparedDense pb(b, p);
     const bool round_a = p != Precision::Fp32;
-    c.setZero();
+    DTC_CHECK(c.rows() == rows);
     // Resolve the SIMD table and panel width on the calling thread:
     // ScopedSimdMode / ScopedPanelCols are thread-local and would not
     // reach parallelFor workers.
     const simd::Kernels& K = simd::kernels();
     const int64_t pw = panelCols(n);
     parallelFor(0, rows, grain, [&](int64_t r_lo, int64_t r_hi) {
+        // Each chunk zeroes its own row slab: no serial whole-C pass.
+        std::fill(c.row(r_lo), c.row(r_hi), 0.0f);
         for (int64_t j0 = 0; j0 < n; j0 += pw) {
             // Deadline poll per (chunk, panel): even one huge chunk
             // cannot stall a runWithDeadline past a single panel.

@@ -6,6 +6,7 @@
  *
  * Loop structure (per parallelFor chunk of rows):
  *
+ *   zero C's rows of the chunk
  *   for each column panel [j0, j0+pn):          // engine::panelCols
  *     for each row r in the chunk:
  *       for each nonzero k of r:                // CSR order
@@ -31,8 +32,9 @@ namespace engine {
 
 /**
  * C = A * B with operands rounded to @p p (Fp32 = no rounding) and
- * FP32 accumulation.  @p c must be pre-sized; it is zeroed here.
- * Rows are processed in parallel chunks of @p grain.
+ * FP32 accumulation.  @p c must be pre-sized to @p rows rows; its
+ * prior contents are ignored.  Rows are processed in parallel chunks
+ * of @p grain, each of which zeroes its own row slab of @p c.
  */
 void spmmCsrRounded(int64_t rows, const int64_t* row_ptr,
                     const int32_t* col_idx, const float* vals,

@@ -145,13 +145,13 @@ DtcKernel::compute(const DenseMatrix& b, DenseMatrix& c) const
     const auto& tco = format.tcOffset();
     const auto& atob = format.sparseAtoB();
 
-    c.setZero();
     // Traverse blocks left-to-right per window, lanes in ascending
     // local id: per output row this accumulates in ascending-column
     // order with operand rounding — identical numerics to the
     // mma.m16n8k4 pipeline and to referenceSpmmRounded.  Window-
     // parallel like the real grid: each window writes a disjoint row
-    // slab of C.  B is pre-rounded once (PreparedDense), nonzero
+    // slab of C, which its chunk zeroes first (no serial whole-C
+    // pass).  B is pre-rounded once (PreparedDense), nonzero
     // coordinates and rounded values come from the flat lanes built
     // in prepare() (IP), and N is walked in cache-sized column panels
     // (VFD/SMB).
@@ -164,6 +164,8 @@ DtcKernel::compute(const DenseMatrix& b, DenseMatrix& c) const
     const int64_t pw = engine::panelCols(n);
     parallelFor(0, format.numWindows(), 16,
                 [&](int64_t w_lo, int64_t w_hi) {
+        std::fill(c.row(w_lo * wh),
+                  c.row(std::min(w_hi * wh, format.rows())), 0.0f);
         std::vector<const float*> brows(static_cast<size_t>(bw));
         for (int64_t j0 = 0; j0 < n; j0 += pw) {
             const int64_t pn = std::min(pw, n - j0);

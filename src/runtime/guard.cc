@@ -11,6 +11,7 @@
 #include "common/env.h"
 #include "common/fault.h"
 #include "common/fault_sites.h"
+#include "common/parallel.h"
 #include "common/rng.h"
 #include "kernels/reference.h"
 #include "obs/metrics.h"
@@ -22,6 +23,9 @@ namespace guard {
 namespace {
 
 constexpr double kDefaultSample = 0.01;
+
+/** Sampled rows per parallelFor chunk of the check. */
+constexpr int64_t kSampleGrain = 8;
 
 /**
  * Cached enablement so the disabled hot path is one relaxed load:
@@ -107,43 +111,73 @@ checkSampledRows(const CsrMatrix& a, const DenseMatrix& b,
     checks.add(1);
     rows_checked.add(static_cast<uint64_t>(sample.size()));
 
+    // Sampled rows are judged in parallel chunks; each writes only
+    // its own rows' verdict slots, and the serial pass below folds
+    // them in row order, so the result is the same at every thread
+    // count.
+    struct Verdict
+    {
+        bool bad = false;
+        int64_t col = 0;
+        double got = 0.0, want = 0.0, tol = 0.0;
+    };
+    std::vector<Verdict> verdicts(sample.size());
     const int64_t n = b.cols();
-    std::vector<double> acc(static_cast<size_t>(n));
-    for (const uint64_t ru : sample) {
-        cancel::poll(); // deadline coverage for the guard phase
-        const int64_t r = static_cast<int64_t>(ru);
-        std::fill(acc.begin(), acc.end(), 0.0);
-        double row_abs_sum = 0.0;
-        double max_abs_b = 0.0;
-        const int64_t lo = a.rowPtr()[r];
-        const int64_t hi = a.rowPtr()[r + 1];
-        for (int64_t k = lo; k < hi; ++k) {
-            const double v = a.values()[k];
-            row_abs_sum += std::fabs(v);
-            const float* brow = b.row(a.colIdx()[k]);
+    parallelFor(0, static_cast<int64_t>(sample.size()), kSampleGrain,
+                [&](int64_t s_lo, int64_t s_hi) {
+        std::vector<double> acc(static_cast<size_t>(n));
+        // Per-column running max|b|: a scalar max carried across j
+        // would keep the j loop from vectorizing.  Max is exact, so
+        // folding the columns once per row gives the same bound.
+        std::vector<double> bmax(static_cast<size_t>(n));
+        double* __restrict accp = acc.data();
+        double* __restrict bmaxp = bmax.data();
+        for (int64_t s = s_lo; s < s_hi; ++s) {
+            cancel::poll(); // deadline coverage for the guard phase
+            const int64_t r = static_cast<int64_t>(sample[s]);
+            std::fill(acc.begin(), acc.end(), 0.0);
+            std::fill(bmax.begin(), bmax.end(), 0.0);
+            double row_abs_sum = 0.0;
+            const int64_t lo = a.rowPtr()[r];
+            const int64_t hi = a.rowPtr()[r + 1];
+            for (int64_t k = lo; k < hi; ++k) {
+                const double v = a.values()[k];
+                row_abs_sum += std::fabs(v);
+                const float* brow = b.row(a.colIdx()[k]);
+                for (int64_t j = 0; j < n; ++j) {
+                    const double bj = brow[j];
+                    accp[j] += v * bj;
+                    bmaxp[j] = std::max(bmaxp[j], std::fabs(bj));
+                }
+            }
+            double max_abs_b = 0.0;
+            for (int64_t j = 0; j < n; ++j)
+                max_abs_b = std::max(max_abs_b, bmaxp[j]);
+            const double tol = spmmRowErrorBound(
+                p, hi - lo, row_abs_sum, max_abs_b, opt.safety);
             for (int64_t j = 0; j < n; ++j) {
-                const double bj = brow[j];
-                acc[static_cast<size_t>(j)] += v * bj;
-                max_abs_b = std::max(max_abs_b, std::fabs(bj));
+                const double got = c.at(r, j);
+                if (!(std::fabs(got - accp[j]) <= tol)) { // catches NaN
+                    // One mismatch per row is enough.
+                    verdicts[static_cast<size_t>(s)] = {true, j, got,
+                                                        accp[j], tol};
+                    break;
+                }
             }
         }
-        const double tol = spmmRowErrorBound(p, hi - lo, row_abs_sum,
-                                             max_abs_b, opt.safety);
-        for (int64_t j = 0; j < n; ++j) {
-            const double got = c.at(r, j);
-            const double want_v = acc[static_cast<size_t>(j)];
-            if (!(std::fabs(got - want_v) <= tol)) { // catches NaN
-                ++res.mismatches;
-                if (res.firstBadRow < 0) {
-                    res.firstBadRow = r;
-                    std::ostringstream os;
-                    os << "guard mismatch at (" << r << "," << j
-                       << "): got " << got << ", want " << want_v
-                       << " +- " << tol;
-                    res.detail = os.str();
-                }
-                break; // one mismatch per row is enough
-            }
+    });
+    for (size_t s = 0; s < sample.size(); ++s) {
+        const Verdict& v = verdicts[s];
+        if (!v.bad)
+            continue;
+        ++res.mismatches;
+        if (res.firstBadRow < 0) {
+            res.firstBadRow = static_cast<int64_t>(sample[s]);
+            std::ostringstream os;
+            os << "guard mismatch at (" << res.firstBadRow << ","
+               << v.col << "): got " << v.got << ", want " << v.want
+               << " +- " << v.tol;
+            res.detail = os.str();
         }
     }
     res.rowsChecked = static_cast<int64_t>(sample.size());

@@ -14,11 +14,22 @@
  * runtime then trips that kernel's breaker and re-executes the whole
  * request on the next-best candidate.
  *
+ * The sampled rows are checked in parallelFor chunks; each chunk
+ * records a per-row verdict and a serial pass folds them in row
+ * order, so the GuardResult is identical at every thread count.  The
+ * check is plain double loops: it never calls the engine or SIMD
+ * code it judges.
+ *
  * Cost model: checking fraction f of rows costs ~f of a full
- * reference SpMM.  The default f = 1%% (DTC_GUARD_SAMPLE) keeps the
- * steady-state overhead ~1%%.  When disabled (f <= 0) the hot-path
- * probe is a single relaxed atomic load — measured by
- * BM_RuntimeGuardOverhead in bench_micro_host.
+ * double-accumulation reference SpMM — and that reference is several
+ * times slower than the SIMD kernels it judges, so the guard's share
+ * of a call is several times f, not f.  Measured at the default
+ * f = 1%% (DTC_GUARD_SAMPLE) on a 4-core AVX-512 host, 4 threads, on
+ * perfbench's traced iter_long_rows (26k rows, ~5.3M nnz, N=128):
+ * ~2.2 ms per call against ~48 ms of compute (~4%%); run serially it
+ * was ~11 ms (~23%%).  When disabled (f <= 0) the hot-path probe is a
+ * single relaxed atomic load — measured by BM_RuntimeGuardOverhead in
+ * bench_micro_host.
  *
  * Counters: runtime.guard.{checks,rows,mismatches} here;
  * runtime.guard.reexecs is tallied by the runtime when it re-runs.

@@ -6,6 +6,7 @@
 #include "common/cancel.h"
 #include "common/check.h"
 #include "common/env.h"
+#include "common/parallel.h"
 #include "gpusim/arch.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -14,6 +15,13 @@ namespace dtc {
 namespace serve {
 
 namespace {
+
+/**
+ * Elements per parallelFor chunk of the batch pack and split (512 KiB
+ * of floats): a small batch stays one chunk and runs inline, without
+ * dispatch, while a wide one spreads over the pool.
+ */
+constexpr int64_t kCopyChunkElems = int64_t{1} << 17;
 
 int
 resolveThreads(int requested)
@@ -395,19 +403,29 @@ SpmmService::executeBatch(std::vector<std::unique_ptr<Request>> batch)
     // Row-major pack: each wide row is filled contiguously in one
     // sweep (request-major order would re-touch every wide row once
     // per member — eight strided passes over the whole panel).
+    // Pack and split are plain copies, so running their rows on the
+    // pool keeps every slice bitwise equal to a solo run.  They are
+    // no cancellation points (parallelFor would check the caller's
+    // token per chunk): a deadline that lapses here must neither
+    // leave the members' promises unset nor drop a finished result.
+    const int64_t row_grain = std::max<int64_t>(
+        1, kCopyChunkElems / std::max<int64_t>(1, total_cols));
     DenseMatrix wide_b(k, total_cols);
     {
         DTC_TRACE_SCOPE("serve.batch.pack");
-        for (int64_t row = 0; row < k; ++row) {
-            float* dst = wide_b.row(row);
-            int64_t col = 0;
-            for (const auto& r : live) {
-                const DenseMatrix& b = r->operandB();
-                std::copy(b.row(row), b.row(row) + b.cols(),
-                          dst + col);
-                col += b.cols();
+        cancel::ScopedCancel no_cancel(nullptr);
+        parallelFor(0, k, row_grain, [&](int64_t lo, int64_t hi) {
+            for (int64_t row = lo; row < hi; ++row) {
+                float* dst = wide_b.row(row);
+                int64_t col = 0;
+                for (const auto& r : live) {
+                    const DenseMatrix& b = r->operandB();
+                    std::copy(b.row(row), b.row(row) + b.cols(),
+                              dst + col);
+                    col += b.cols();
+                }
             }
-        }
+        });
     }
 
     // The batch runs under the earliest member deadline; a trip
@@ -457,15 +475,22 @@ SpmmService::executeBatch(std::vector<std::unique_ptr<Request>> batch)
     for (size_t i = 0; i < live.size(); ++i)
         results[i].c = DenseMatrix(entry.a.rows(),
                                    live[i]->operandB().cols());
-    for (int64_t row = 0; row < entry.a.rows(); ++row) {
-        const float* src = wide_c.row(row);
-        int64_t col = 0;
-        for (size_t i = 0; i < live.size(); ++i) {
-            const int64_t n = results[i].c.cols();
-            std::copy(src + col, src + col + n,
-                      results[i].c.row(row));
-            col += n;
-        }
+    {
+        DTC_TRACE_SCOPE("serve.batch.split");
+        cancel::ScopedCancel no_cancel(nullptr);
+        parallelFor(0, entry.a.rows(), row_grain,
+                    [&](int64_t lo, int64_t hi) {
+            for (int64_t row = lo; row < hi; ++row) {
+                const float* src = wide_c.row(row);
+                int64_t col = 0;
+                for (size_t i = 0; i < live.size(); ++i) {
+                    const int64_t n = results[i].c.cols();
+                    std::copy(src + col, src + col + n,
+                              results[i].c.row(row));
+                    col += n;
+                }
+            }
+        });
     }
     for (size_t i = 0; i < live.size(); ++i) {
         SubmitResult& res = results[i];

@@ -448,5 +448,73 @@ TEST(EngineEquivalence, PreparedDenseValuesMatchScalarRounding)
     }
 }
 
+/**
+ * compute() owns every element of C: each parallel chunk zeroes its
+ * own rows, so a C pre-filled with NaN still comes out equal to the
+ * naive reference, on a row count that leaves DTC a partial last
+ * window and splits every kernel into several chunks.
+ */
+TEST(EngineEquivalence, ComputeOverwritesStaleOutput)
+{
+    Rng rng(31);
+    const CsrMatrix m = genCommunity(1000, 8, 10.0, 0.85, rng);
+    ASSERT_NE(m.rows() % 16, 0);
+    const int64_t n = 37;
+    const DenseMatrix b = randomDense(m.cols(), n);
+    std::vector<std::pair<KernelKind, Precision>> cases = {
+        {KernelKind::CuSparse, Precision::Fp32},
+        {KernelKind::Sputnik, Precision::Fp32},
+        {KernelKind::Tcgnn, Precision::Tf32}};
+    for (Precision p : {Precision::Tf32, Precision::Bf16,
+                        Precision::Fp16})
+        cases.emplace_back(KernelKind::Dtc, p);
+    for (const auto& [kind, p] : cases) {
+        auto kernel = makeKernelAt(kind, p);
+        ASSERT_NE(kernel, nullptr);
+        ASSERT_TRUE(kernel->prepare(m).empty());
+        const DenseMatrix want = naive(m, b, p);
+        for (int threads : {1, 4, 8}) {
+            SCOPED_TRACE(std::string(kernelKindName(kind)) + " p=" +
+                         precisionName(p) + " threads=" +
+                         std::to_string(threads));
+            ScopedNumThreads nt(threads);
+            DenseMatrix c(m.rows(), n);
+            c.fill(std::numeric_limits<float>::quiet_NaN());
+            kernel->compute(b, c);
+            expectBitwiseEqual(want, c);
+        }
+    }
+}
+
+/**
+ * The rounded buffer starts uninitialised and the parallel rounding
+ * pass is its only writer, so a B whose row count is not a multiple
+ * of the pass's row chunk must still come out fully rounded.
+ */
+TEST(EngineEquivalence, PreparedDenseRoundsEveryChunk)
+{
+    const int64_t rows = 601, cols = 13; // 601 = 2 * 256 + 89
+    DenseMatrix b(rows, cols);
+    Rng rng(41);
+    b.fillRandom(rng, -70000.0f, 70000.0f);
+    b.at(rows - 1, cols - 1) = std::numeric_limits<float>::quiet_NaN();
+    for (Precision p : {Precision::Tf32, Precision::Bf16,
+                        Precision::Fp16}) {
+        for (int threads : {1, 4}) {
+            SCOPED_TRACE(std::string(precisionName(p)) + " threads=" +
+                         std::to_string(threads));
+            ScopedNumThreads nt(threads);
+            const engine::PreparedDense pd(b, p);
+            for (int64_t i = 0; i < rows * cols; ++i) {
+                const float want = roundToPrecision(b.data()[i], p);
+                ASSERT_EQ(std::memcmp(pd.row(0) + i, &want,
+                                      sizeof(float)),
+                          0)
+                    << "i=" << i;
+            }
+        }
+    }
+}
+
 } // namespace
 } // namespace dtc

@@ -6,6 +6,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -454,6 +455,61 @@ TEST_F(RuntimeTest, GuardSamplingIsDeterministic)
     EXPECT_EQ(g1.rowsChecked, g2.rowsChecked);
     EXPECT_GE(g1.rowsChecked, 1);
     EXPECT_LE(g1.rowsChecked, 16); // ~1% of 1024
+}
+
+/**
+ * The guard judges sampled rows in parallel chunks but folds their
+ * verdicts in row order: the same GuardResult at every thread count,
+ * with the lowest bad sampled row first.
+ */
+TEST_F(RuntimeTest, GuardResultIsThreadCountInvariant)
+{
+    CsrMatrix a = genUniform(512, 8.0, rng);
+    const DenseMatrix b = testing::makeDenseOperand(a.cols(), 32, 15);
+    DenseMatrix c(a.rows(), b.cols());
+    referenceSpmmTf32(a, b, c);
+    // Bad rows in several chunks, the lowest not in the first one;
+    // row 130 twice, so its first bad column is the one reported.
+    c.at(300, 1) += 10.0f;
+    c.at(130, 7) -= 10.0f;
+    c.at(130, 2) += 10.0f;
+    c.at(257, 0) = std::numeric_limits<float>::quiet_NaN();
+    c.at(509, 31) *= 4.0f;
+    runtime::guard::GuardOptions opt;
+    opt.sampleFraction = 1.0; // every row is a sampled row
+    std::vector<runtime::guard::GuardResult> results;
+    for (int threads : {1, 4, 8}) {
+        ScopedNumThreads nt(threads);
+        results.push_back(runtime::guard::checkSampledRows(
+            a, b, c, Precision::Tf32, opt));
+    }
+    EXPECT_EQ(results[0].rowsChecked, a.rows());
+    EXPECT_EQ(results[0].mismatches, 4);
+    EXPECT_EQ(results[0].firstBadRow, 130);
+    EXPECT_NE(results[0].detail.find("(130,2)"), std::string::npos)
+        << results[0].detail;
+    for (const auto& g : results) {
+        EXPECT_EQ(g.rowsChecked, results[0].rowsChecked);
+        EXPECT_EQ(g.mismatches, results[0].mismatches);
+        EXPECT_EQ(g.firstBadRow, results[0].firstBadRow);
+        EXPECT_EQ(g.detail, results[0].detail);
+    }
+}
+
+TEST_F(RuntimeTest, GuardCatchesOneBadRowOnThePool)
+{
+    CsrMatrix a = genUniform(512, 8.0, rng);
+    const DenseMatrix b = testing::makeDenseOperand(a.cols(), 32, 16);
+    DenseMatrix c(a.rows(), b.cols());
+    referenceSpmmTf32(a, b, c);
+    c.at(437, 5) += 1.0f;
+    runtime::guard::GuardOptions opt;
+    opt.sampleFraction = 1.0;
+    ScopedNumThreads nt(4);
+    const runtime::guard::GuardResult g =
+        runtime::guard::checkSampledRows(a, b, c, Precision::Tf32, opt);
+    EXPECT_EQ(g.mismatches, 1);
+    EXPECT_EQ(g.firstBadRow, 437);
 }
 
 TEST_F(RuntimeTest, GuardMismatchTriggersReexecutionOnFallback)
