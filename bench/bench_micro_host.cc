@@ -9,6 +9,8 @@
 #include <benchmark/benchmark.h>
 #include <sched.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -467,8 +469,15 @@ runtimeGuardSmoke(const CsrMatrix& m, int64_t n, int reps)
 /** Threads in a scaling row's "on" column; "off" is 1 thread. */
 constexpr int kScalingThreads = 4;
 
-/** Single-call reps per width in a scaling row (interleaved). */
+/** Reps per width in a scaling row (interleaved, paired). */
 constexpr int kScalingReps = 15;
+
+/**
+ * Least 1-thread time of one scaling rep: a rep repeats the call
+ * until it does this much work, so a sub-2 ms call is not judged on
+ * one moment of a shared host.
+ */
+constexpr double kScalingRepMs = 10.0;
 
 /**
  * The scaling gate: 4 threads must beat 1 thread by at least this
@@ -478,37 +487,63 @@ constexpr int kScalingReps = 15;
  */
 constexpr double kMinScalingSpeedup = 1.5;
 
-/**
- * 1-thread vs kScalingThreads-thread timing of one call, in the
- * engine-row shape (off = 1 thread, on = kScalingThreads).  Each
- * column is the median of kScalingReps single-call reps, and the two
- * widths alternate rep by rep, so host noise lands on both alike.
- * The rounding-op columns do not apply; both are 0.
- */
-template <typename F>
-SmokeRow
-threadScalingSmoke(const char* kernel_name, int64_t n, F&& fn)
+/** A scaling row plus the paired-rep speedup the gate judges. */
+struct ScalingRow
 {
     SmokeRow row;
+    /** Median over reps of (1-thread rep time / 4-thread rep time). */
+    double speedup = 0.0;
+    int callsPerRep = 1;
+};
+
+/**
+ * 1-thread vs kScalingThreads-thread timing of one call, in the
+ * engine-row shape (off = 1 thread, on = kScalingThreads, each the
+ * median per-call time).  A rep runs the call callsPerRep times,
+ * enough for kScalingRepMs at 1 thread; the two widths alternate rep
+ * by rep, and the gated speedup is the median of the per-rep ratios,
+ * so host noise lands on both arms of a pair alike.  The rounding-op
+ * columns do not apply; both are 0.
+ */
+template <typename F>
+ScalingRow
+threadScalingSmoke(const char* kernel_name, int64_t n, F&& fn)
+{
+    ScalingRow out;
+    SmokeRow& row = out.row;
     row.kernel = kernel_name;
     row.n = n;
     row.legacyBRoundOps = 0;
     row.engineBRoundOps = 0;
     fn(); // warm-up: touch B/C pages
-    std::vector<double> one, many;
+    {
+        ScopedNumThreads threads(1);
+        double call_ms = bench::timedMs(1, fn);
+        for (int i = 0; i < 2; ++i)
+            call_ms = std::min(call_ms, bench::timedMs(1, fn));
+        out.callsPerRep = static_cast<int>(std::clamp(
+            std::ceil(kScalingRepMs / std::max(call_ms, 1e-3)), 1.0,
+            1000.0));
+    }
+    std::vector<double> one, many, ratio;
     for (int i = 0; i < kScalingReps; ++i) {
+        double t1, tn;
         {
             ScopedNumThreads threads(1);
-            one.push_back(bench::timedMs(1, fn));
+            t1 = bench::timedMs(out.callsPerRep, fn);
         }
         {
             ScopedNumThreads threads(kScalingThreads);
-            many.push_back(bench::timedMs(1, fn));
+            tn = bench::timedMs(out.callsPerRep, fn);
         }
+        one.push_back(t1 / out.callsPerRep);
+        many.push_back(tn / out.callsPerRep);
+        ratio.push_back(tn > 0.0 ? t1 / tn : 0.0);
     }
     row.offMs = bench::median(one);
     row.onMs = bench::median(many);
-    return row;
+    out.speedup = bench::median(ratio);
+    return out;
 }
 
 /** CPUs this process may run on (its affinity mask). */
@@ -527,7 +562,7 @@ availableCores()
  * kScalingThreads cores, where 4 threads cannot run in parallel.
  */
 bool
-scalingGate(const std::vector<SmokeRow>& rows)
+scalingGate(const std::vector<ScalingRow>& rows)
 {
     const int cores = availableCores();
     if (cores < kScalingThreads) {
@@ -537,15 +572,15 @@ scalingGate(const std::vector<SmokeRow>& rows)
         return true;
     }
     bool ok = true;
-    for (const SmokeRow& r : rows) {
-        const double speedup = r.onMs > 0.0 ? r.offMs / r.onMs : 0.0;
-        const bool pass = speedup >= kMinScalingSpeedup;
+    for (const ScalingRow& s : rows) {
+        const bool pass = s.speedup >= kMinScalingSpeedup;
         std::printf("smoke: thread-scaling gate %s n=%lld: 1 thread "
-                    "%.3f ms, %d threads %.3f ms (median of %d "
-                    "interleaved reps), speedup %.2fx, bound >= "
-                    "%.2fx: %s\n",
-                    r.kernel, static_cast<long long>(r.n), r.offMs,
-                    kScalingThreads, r.onMs, kScalingReps, speedup,
+                    "%.3f ms, %d threads %.3f ms per call (medians of "
+                    "%d interleaved reps of %d calls), median paired "
+                    "speedup %.2fx, bound >= %.2fx: %s\n",
+                    s.row.kernel, static_cast<long long>(s.row.n),
+                    s.row.offMs, kScalingThreads, s.row.onMs,
+                    kScalingReps, s.callsPerRep, s.speedup,
                     kMinScalingSpeedup, pass ? "ok" : "FAIL");
         ok = ok && pass;
     }
@@ -740,7 +775,7 @@ runEngineSmoke(const std::string& out_path,
     // Thread-scaling rows: the instrumentation-cost gate.  Counters
     // stay on (they always are); a counter that serializes the
     // workers shows up as a 4-thread time no better than 1-thread.
-    std::vector<SmokeRow> scaling;
+    std::vector<ScalingRow> scaling;
     {
         const int64_t n = 128;
         Rng brng(static_cast<uint64_t>(n));
@@ -773,7 +808,30 @@ runEngineSmoke(const std::string& out_path,
             return 1;
         }
     }
-    rows.insert(rows.end(), scaling.begin(), scaling.end());
+    for (const ScalingRow& r : scaling)
+        rows.push_back(r.row);
+
+    // Set-up rows, advisory (not gated): TCA reordering and a
+    // Runtime's tune plus first run, whose pair scoring and kernel
+    // hand-off these rows time at 1 and 4 threads.
+    {
+        const int64_t n = 32;
+        Rng brng(static_cast<uint64_t>(n));
+        DenseMatrix b(m.cols(), n);
+        b.fillRandom(brng);
+        DenseMatrix c(m.rows(), n);
+        const CostModel cm(ArchSpec::rtx4090());
+        rows.push_back(threadScalingSmoke("tcaReorder threads_1_4", 0,
+                                          [&] { (void)tcaReorder(m); })
+                           .row);
+        rows.push_back(
+            threadScalingSmoke("Runtime::tune+first_run threads_1_4", n,
+                               [&] {
+                                   runtime::Runtime rt(m, cm);
+                                   rt.run(b, c);
+                               })
+                .row);
+    }
 
     std::ofstream out(out_path);
     if (!out) {

@@ -24,6 +24,7 @@
 #include <memory>
 #include <new>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace dtc {
@@ -80,6 +81,46 @@ class AlignedAllocator
 /** std::vector whose buffer starts on a 64-byte boundary. */
 template <typename T>
 using AlignedVector = std::vector<T, AlignedAllocator<T, 64>>;
+
+/**
+ * AlignedAllocator whose no-argument construct() default-initialises,
+ * so resize() on a vector of trivial @p T leaves the new elements
+ * unwritten; a construct() with a value (vector(n, v), resize(n, v),
+ * copies) still writes it.  Only a storage type that opts in uses it
+ * (DenseMatrix::uninitialized); AlignedVector keeps zeroing on
+ * resize().
+ */
+template <typename T, std::size_t Align = 64>
+class DefaultInitAllocator : public AlignedAllocator<T, Align>
+{
+  public:
+    DefaultInitAllocator() noexcept = default;
+
+    template <typename U>
+    DefaultInitAllocator(const DefaultInitAllocator<U, Align>&) noexcept
+    {
+    }
+
+    template <typename U>
+    struct rebind
+    {
+        using other = DefaultInitAllocator<U, Align>;
+    };
+
+    template <typename U>
+    void
+    construct(U* p) noexcept(std::is_nothrow_default_constructible_v<U>)
+    {
+        ::new (static_cast<void*>(p)) U;
+    }
+
+    template <typename U, typename... Args>
+    void
+    construct(U* p, Args&&... args)
+    {
+        ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+    }
+};
 
 /** Frees an AlignedArray's buffer. */
 template <typename T>

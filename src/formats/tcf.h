@@ -33,6 +33,13 @@ class TcfMatrix
     /** Builds TCF from CSR (runs SGT internally). */
     static TcfMatrix build(const CsrMatrix& m, TcBlockShape shape = {});
 
+    /**
+     * Builds TCF from CSR and its SGT condensation @p sgt (the result
+     * of sgtCondense(m, shape); the block shape is sgt.shape), for a
+     * caller that keeps the condensation too and so condenses once.
+     */
+    static TcfMatrix build(const CsrMatrix& m, const SgtResult& sgt);
+
     int64_t rows() const { return nRows; }
     int64_t cols() const { return nCols; }
     int64_t nnz() const { return static_cast<int64_t>(edgeListArr.size()); }

@@ -37,28 +37,28 @@ L2Cache::access(uint64_t addr)
     const uint64_t line = addr / static_cast<uint64_t>(lineBytes);
     const uint64_t set = line & static_cast<uint64_t>(nSets - 1);
     const size_t base = static_cast<size_t>(set) * nWays;
-
-    int victim = 0;
-    uint64_t victim_use = ~0ull;
+    uint64_t* set_tags = tags.data() + base;
+    uint64_t* set_use = lastUse.data() + base;
     for (int w = 0; w < nWays; ++w) {
-        if (tags[base + w] == line) {
-            lastUse[base + w] = tick;
+        if (set_tags[w] == line) {
+            set_use[w] = tick;
             nHits++;
             return true;
         }
-        if (tags[base + w] == kInvalid) {
-            // Prefer filling an empty way; oldest possible use time.
-            if (victim_use != 0) {
-                victim = w;
-                victim_use = 0;
-            }
-        } else if (lastUse[base + w] < victim_use) {
-            victim = w;
-            victim_use = lastUse[base + w];
-        }
     }
-    tags[base + victim] = line;
-    lastUse[base + victim] = tick;
+    // Miss: fill the first empty way, else evict the first way with
+    // the oldest use (every filled way's lastUse is >= 1).
+    int victim = 0;
+    for (int w = 0; w < nWays; ++w) {
+        if (set_tags[w] == kInvalid) {
+            victim = w;
+            break;
+        }
+        if (set_use[w] < set_use[victim])
+            victim = w;
+    }
+    set_tags[victim] = line;
+    set_use[victim] = tick;
     nMisses++;
     return false;
 }

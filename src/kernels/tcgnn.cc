@@ -18,8 +18,8 @@ TcgnnKernel::prepare(const CsrMatrix& a)
     }
     if (Refusal r = refuseIfOverConversionBudget(a, "TCF"); !r.ok())
         return r;
-    format = TcfMatrix::build(a);
     sgt = sgtCondense(a);
+    format = TcfMatrix::build(a, sgt);
     ready = true;
     return Refusal::accept();
 }

@@ -15,6 +15,17 @@ DenseMatrix::DenseMatrix(int64_t rows, int64_t cols)
     DTC_CHECK(rows >= 0 && cols >= 0);
 }
 
+DenseMatrix
+DenseMatrix::uninitialized(int64_t rows, int64_t cols)
+{
+    DTC_CHECK(rows >= 0 && cols >= 0);
+    DenseMatrix m;
+    m.nRows = rows;
+    m.nCols = cols;
+    m.buf.resize(static_cast<size_t>(rows * cols));
+    return m;
+}
+
 void
 DenseMatrix::setZero()
 {

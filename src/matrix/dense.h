@@ -11,6 +11,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <vector>
 
 #include "common/aligned.h"
 
@@ -27,6 +28,14 @@ class DenseMatrix
 
     /** Creates a zero-initialized @p rows x @p cols matrix. */
     DenseMatrix(int64_t rows, int64_t cols);
+
+    /**
+     * Creates a @p rows x @p cols matrix whose elements are left
+     * unwritten, for a buffer the caller overwrites in full anyway
+     * (a kernel's C, a packed batch operand): it skips the serial
+     * zero-fill of the constructor above.
+     */
+    static DenseMatrix uninitialized(int64_t rows, int64_t cols);
 
     /** Number of rows. */
     int64_t rows() const { return nRows; }
@@ -72,8 +81,9 @@ class DenseMatrix
     int64_t nRows = 0;
     int64_t nCols = 0;
     /** 64-byte-aligned so SIMD micro-kernels see aligned row bases
-     * whenever nCols is a multiple of 16. */
-    AlignedVector<float> buf;
+     * whenever nCols is a multiple of 16; resize() leaves new
+     * elements unwritten (see uninitialized()). */
+    std::vector<float, DefaultInitAllocator<float>> buf;
 };
 
 } // namespace dtc

@@ -5,12 +5,16 @@
 #include <queue>
 
 #include "common/check.h"
+#include "common/parallel.h"
 #include "obs/metrics.h"
 #include "reorder/minhash.h"
 
 namespace dtc {
 
 namespace {
+
+/** Hierarchy-II clusters per parallelFor chunk of the column sets. */
+constexpr int64_t kClusterGrain = 64;
 
 /** Union-find with size tracking and a retired flag per root. */
 class ClusterSets
@@ -111,14 +115,26 @@ mergeHierarchy(int64_t num_elems, const SetOf& set_of,
     *candidate_pairs_out = static_cast<int64_t>(candidates.size());
 
     DTC_TRACE_SCOPE("tca.merge");
-    std::priority_queue<ScoredPair> queue;
-    for (const auto& [a, b] : candidates) {
-        auto [ab, ae] = set_of(a);
-        auto [bb, be] = set_of(b);
-        const double sim = jaccardSorted(ab, ae, bb, be);
-        if (sim >= p.minSimilarity)
-            queue.push({sim, a, b});
-    }
+    // Exact Jaccard per candidate on the pool, each chunk writing its
+    // own slots; the kept pairs are then collected serially in
+    // candidate order.  The heap orders by the total order (sim, a,
+    // b), so its pop sequence is the same however the pairs arrive.
+    std::vector<double> sims(candidates.size());
+    parallelFor(0, static_cast<int64_t>(candidates.size()), kTcaPairGrain,
+                [&](int64_t lo, int64_t hi) {
+        for (int64_t i = lo; i < hi; ++i) {
+            auto [ab, ae] = set_of(candidates[i].first);
+            auto [bb, be] = set_of(candidates[i].second);
+            sims[i] = jaccardSorted(ab, ae, bb, be);
+        }
+    });
+    std::vector<ScoredPair> kept;
+    for (size_t i = 0; i < candidates.size(); ++i)
+        if (sims[i] >= p.minSimilarity)
+            kept.push_back(
+                {sims[i], candidates[i].first, candidates[i].second});
+    std::priority_queue<ScoredPair> queue(std::less<ScoredPair>(),
+                                          std::move(kept));
 
     // Override sizes: union-find starts each element with weight 1,
     // but Hierarchy II elements weigh their row-cluster counts.
@@ -199,34 +215,39 @@ tcaReorder(const CsrMatrix& m, const TcaParams& params)
     if (params.cacheAware && nc > 1) {
         // ---- Hierarchy II: clusters -> clusters-of-clusters. ----
         // Deduplicated column set per cluster, subsampled if huge.
+        // Each cluster builds its own set, so chunks of clusters run
+        // on the pool with disjoint writes.
         std::vector<std::vector<int32_t>> csets(
             static_cast<size_t>(nc));
-        std::vector<int32_t> scratch;
-        for (int64_t c = 0; c < nc; ++c) {
-            scratch.clear();
-            for (int32_t r : clusters[c]) {
-                scratch.insert(scratch.end(),
-                               col_idx.data() + row_ptr[r],
-                               col_idx.data() + row_ptr[r + 1]);
+        parallelFor(0, nc, kClusterGrain, [&](int64_t lo, int64_t hi) {
+            std::vector<int32_t> scratch;
+            for (int64_t c = lo; c < hi; ++c) {
+                scratch.clear();
+                for (int32_t r : clusters[c]) {
+                    scratch.insert(scratch.end(),
+                                   col_idx.data() + row_ptr[r],
+                                   col_idx.data() + row_ptr[r + 1]);
+                }
+                std::sort(scratch.begin(), scratch.end());
+                scratch.erase(
+                    std::unique(scratch.begin(), scratch.end()),
+                    scratch.end());
+                std::vector<int32_t>& set = csets[c];
+                if (static_cast<int64_t>(scratch.size()) >
+                    params.maxClusterSetSize) {
+                    // Uniform stride subsample keeps sets comparable.
+                    const double stride =
+                        static_cast<double>(scratch.size()) /
+                        static_cast<double>(params.maxClusterSetSize);
+                    for (int64_t i = 0; i < params.maxClusterSetSize;
+                         ++i)
+                        set.push_back(scratch[static_cast<size_t>(
+                            static_cast<double>(i) * stride)]);
+                } else {
+                    set = scratch;
+                }
             }
-            std::sort(scratch.begin(), scratch.end());
-            scratch.erase(
-                std::unique(scratch.begin(), scratch.end()),
-                scratch.end());
-            if (static_cast<int64_t>(scratch.size()) >
-                params.maxClusterSetSize) {
-                // Uniform stride subsample keeps sets comparable.
-                std::vector<int32_t> sampled;
-                const double stride =
-                    static_cast<double>(scratch.size()) /
-                    static_cast<double>(params.maxClusterSetSize);
-                for (int64_t i = 0; i < params.maxClusterSetSize; ++i)
-                    sampled.push_back(scratch[static_cast<size_t>(
-                        static_cast<double>(i) * stride)]);
-                scratch = std::move(sampled);
-            }
-            csets[c] = scratch;
-        }
+        });
 
         ClusterSets cc_sets(nc);
         auto cluster_set = [&](int64_t c) {

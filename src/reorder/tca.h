@@ -68,6 +68,12 @@ struct TcaResult
     int64_t candidatePairsH2 = 0;
 };
 
+/**
+ * Candidate pairs per parallelFor chunk when a hierarchy scores its
+ * LSH candidates (exact Jaccard of two sorted column sets per pair).
+ */
+constexpr int64_t kTcaPairGrain = 2048;
+
 /** Runs TCU-Cache-Aware reordering over @p m. */
 TcaResult tcaReorder(const CsrMatrix& m, const TcaParams& params = {});
 

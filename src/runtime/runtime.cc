@@ -35,18 +35,18 @@ isAbort(ErrorCode code)
 
 std::shared_ptr<const TuneResult>
 Runtime::tune(const CsrMatrix& a, const TuneRequest& request,
-              const CostModel& cm)
+              const CostModel& cm, std::optional<Precision> precision)
 {
     DTC_TRACE_SCOPE("runtime.tune");
     return std::make_shared<const TuneResult>(
-        tuneSpmm(a, request, cm));
+        tuneSpmm(a, request, cm, precision));
 }
 
 Runtime::Runtime(const CsrMatrix& a_in, const CostModel& cm,
                  RuntimeOptions options, BreakerRegistry* breakers)
     : a(a_in), opt(std::move(options))
 {
-    tuned = tune(a, opt.tune, cm);
+    tuned = tune(a, opt.tune, cm, opt.precision);
     initFromTuned(breakers);
 }
 
@@ -74,6 +74,10 @@ Runtime::initFromTuned(BreakerRegistry* breakers)
         c.precision = opt.precision
                           ? *opt.precision
                           : kernelTraits(e.kind).nativePrecision;
+        // The tuner's prepared winner, when it runs at this
+        // candidate's precision (see the class comment).
+        if (e.kernel && e.precision == c.precision)
+            c.kernel = e.kernel;
         candidates.push_back(std::move(c));
     }
     // Even "nothing supported" leaves the reference fallback, so the
@@ -86,18 +90,18 @@ Runtime::initFromTuned(BreakerRegistry* breakers)
     }
 }
 
-SpmmKernel*
+const SpmmKernel*
 Runtime::preparedKernel(Candidate& cand, RunReport& rep)
 {
     if (cand.dead)
         return nullptr;
-    if (cand.kernel && cand.kernel->prepared())
+    if (cand.kernel)
         return cand.kernel.get();
     DTC_TRACE_SCOPE("runtime.prepare");
-    cand.kernel = opt.precision
-                      ? makeKernelAt(cand.kind, *opt.precision)
+    std::unique_ptr<SpmmKernel> kernel =
+        opt.precision ? makeKernelAt(cand.kind, *opt.precision)
                       : makeKernel(cand.kind);
-    if (!cand.kernel) {
+    if (!kernel) {
         cand.dead = true;
         RunAttempt att;
         att.kernel = cand.name;
@@ -106,7 +110,7 @@ Runtime::preparedKernel(Candidate& cand, RunReport& rep)
         rep.failures.push_back(std::move(att));
         return nullptr;
     }
-    const Refusal r = cand.kernel->prepare(a);
+    const Refusal r = kernel->prepare(a);
     if (!r.ok()) {
         // A refusal is the kernel's *modeled answer* for this matrix;
         // it will not change on retry — drop the candidate for good.
@@ -118,6 +122,7 @@ Runtime::preparedKernel(Candidate& cand, RunReport& rep)
         rep.failures.push_back(std::move(att));
         return nullptr;
     }
+    cand.kernel = std::move(kernel);
     return cand.kernel.get();
 }
 
@@ -164,7 +169,7 @@ Runtime::run(const DenseMatrix& b, DenseMatrix& c, RunReport* report)
             CircuitBreaker& br = breg->forKernel(cand.name);
             if (!forced && !br.allow())
                 continue; // quarantined: reroute to next-best
-            SpmmKernel* kernel = preparedKernel(cand, rep);
+            const SpmmKernel* kernel = preparedKernel(cand, rep);
             if (!kernel) {
                 if (!forced)
                     br.onFailure();
@@ -258,7 +263,9 @@ Runtime::run(const DenseMatrix& b, DenseMatrix& c, RunReport* report)
 DenseMatrix
 Runtime::run(const DenseMatrix& b)
 {
-    DenseMatrix c(a.rows(), b.cols());
+    // Every path below writes all of C (the kernels zero their own
+    // rows, the reference fallback overwrites it).
+    DenseMatrix c = DenseMatrix::uninitialized(a.rows(), b.cols());
     run(b, c, nullptr);
     return c;
 }

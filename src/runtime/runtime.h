@@ -131,10 +131,19 @@ struct RunReport
  * the tuned-state constructor, reuses a ranking computed once by
  * tune() so an identical (registry, matrix) pair never re-runs the
  * tuner per request (the serving layer's prepared-kernel cache keys
- * on exactly that).  Kernels prepare lazily on first use.
+ * on exactly that).
+ *
+ * Kernel hand-off: the ranking's best entry carries the kernel the
+ * tuner prepared to cost it.  A candidate whose run precision equals
+ * that entry's precision adopts the kernel — shared, since compute()
+ * is const and kernels keep no mutable state — so tune plus the first
+ * run prepares the winner once.  Every other candidate (and the best
+ * one at a different precision) prepares its own kernel on first use.
+ *
  * Thread-compatible: concurrent run() calls on one instance are not
- * supported (the breaker registry is thread-safe, the
- * prepared-kernel cache is not).
+ * supported (the breaker registry is thread-safe, the per-candidate
+ * kernel slots are not).  Runtimes built from one TuneResult may run
+ * concurrently.
  */
 class Runtime
 {
@@ -165,11 +174,15 @@ class Runtime
     /**
      * Runs the tuner once for @p a and returns the shareable ranking;
      * feed it to any number of Runtime instances (or the same one
-     * reconstructed later) to skip re-tuning.
+     * reconstructed later) to skip re-tuning.  Pass the
+     * RuntimeOptions::precision the runtimes will run at, so the
+     * tuner prepares and ranks only kernels that can run it (see
+     * tuneSpmm).
      */
     static std::shared_ptr<const TuneResult>
     tune(const CsrMatrix& a, const TuneRequest& request,
-         const CostModel& cm);
+         const CostModel& cm,
+         std::optional<Precision> precision = std::nullopt);
 
     /**
      * C = A * B with deadline, retry, breaker rerouting, and guard
@@ -204,12 +217,13 @@ class Runtime
         KernelKind kind;
         std::string name;
         Precision precision;
-        std::unique_ptr<SpmmKernel> kernel; ///< Lazily prepared.
+        /** Adopted from the tuner, else prepared on first use. */
+        std::shared_ptr<const SpmmKernel> kernel;
         bool dead = false; ///< prepare() refused; never retried.
     };
 
     /** Prepares (once) and returns the kernel, or null if refused. */
-    SpmmKernel* preparedKernel(Candidate& cand, RunReport& rep);
+    const SpmmKernel* preparedKernel(Candidate& cand, RunReport& rep);
 
     /** Builds candidates + breaker wiring from the tuned ranking. */
     void initFromTuned(BreakerRegistry* breakers);

@@ -56,7 +56,7 @@ PreparedEntry::ensurePrepared(const CostModel& cm,
     runtime::RuntimeOptions opt = ropt;
     opt.precision = precision;
     if (!tuned)
-        tuned = runtime::Runtime::tune(a, opt.tune, cm);
+        tuned = runtime::Runtime::tune(a, opt.tune, cm, precision);
     rt = std::make_unique<runtime::Runtime>(a, tuned, std::move(opt));
     prepared.store(true, std::memory_order_release);
 }

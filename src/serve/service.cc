@@ -134,9 +134,7 @@ SubmitResult
 SpmmService::run(MatrixHandle h, const DenseMatrix& b, Precision p,
                  SubmitOptions sopt)
 {
-    DenseMatrix copy(b.rows(), b.cols());
-    std::copy(b.data(), b.data() + b.size(), copy.data());
-    return submit(h, std::move(copy), p, sopt).get();
+    return submit(h, b, p, sopt).get();
 }
 
 std::vector<SubmitResult>
@@ -190,11 +188,8 @@ SpmmService::runBatch(MatrixHandle h,
     }
 
     std::vector<std::future<SubmitResult>> futs;
-    for (const DenseMatrix& b : bs) {
-        DenseMatrix copy(b.rows(), b.cols());
-        std::copy(b.data(), b.data() + b.size(), copy.data());
-        futs.push_back(submit(h, std::move(copy), p, sopt));
-    }
+    for (const DenseMatrix& b : bs)
+        futs.push_back(submit(h, b, p, sopt));
     for (auto& f : futs)
         results.push_back(f.get());
     return results;
@@ -319,7 +314,7 @@ SpmmService::executeSingle(std::unique_ptr<Request> r)
         SubmitResult res;
         res.preparedCacheHit = r->cacheHit;
         const DenseMatrix& b = r->operandB();
-        res.c = DenseMatrix(r->entry->a.rows(), b.cols());
+        res.c = DenseMatrix::uninitialized(r->entry->a.rows(), b.cols());
         r->entry->rt->run(b, res.c, &res.report);
         static obs::Histogram& queue_wait =
             obs::metrics::histogram("serve.queue_wait_ms");
@@ -410,7 +405,9 @@ SpmmService::executeBatch(std::vector<std::unique_ptr<Request>> batch)
     // leave the members' promises unset nor drop a finished result.
     const int64_t row_grain = std::max<int64_t>(
         1, kCopyChunkElems / std::max<int64_t>(1, total_cols));
-    DenseMatrix wide_b(k, total_cols);
+    // Pack, run and split each write every element of the buffer
+    // they fill, so none of the three is zeroed first.
+    DenseMatrix wide_b = DenseMatrix::uninitialized(k, total_cols);
     {
         DTC_TRACE_SCOPE("serve.batch.pack");
         cancel::ScopedCancel no_cancel(nullptr);
@@ -437,7 +434,8 @@ SpmmService::executeBatch(std::vector<std::unique_ptr<Request>> batch)
             (min_deadline == 0.0 || r->deadlineUs < min_deadline))
             min_deadline = r->deadlineUs;
 
-    DenseMatrix wide_c(entry.a.rows(), total_cols);
+    DenseMatrix wide_c =
+        DenseMatrix::uninitialized(entry.a.rows(), total_cols);
     runtime::RunReport report;
     try {
         CancelToken token;
@@ -473,8 +471,8 @@ SpmmService::executeBatch(std::vector<std::unique_ptr<Request>> batch)
     const double done = obs::monotonicNowUs();
     std::vector<SubmitResult> results(live.size());
     for (size_t i = 0; i < live.size(); ++i)
-        results[i].c = DenseMatrix(entry.a.rows(),
-                                   live[i]->operandB().cols());
+        results[i].c = DenseMatrix::uninitialized(
+            entry.a.rows(), live[i]->operandB().cols());
     {
         DTC_TRACE_SCOPE("serve.batch.split");
         cancel::ScopedCancel no_cancel(nullptr);

@@ -74,19 +74,30 @@ conversionCost(KernelKind kind, const CsrMatrix& m,
     }
 }
 
+/** One evaluated candidate and, if it was supported, its kernel. */
+struct Evaluated
+{
+    TuneEntry entry;
+    std::unique_ptr<SpmmKernel> kernel;
+};
+
 /**
  * Evaluates one candidate.  Never propagates: a refusal or a thrown
  * error becomes an unsupported entry with the skip reason and
  * taxonomy code recorded, so one faulty kernel cannot sink the whole
  * tuning pass.
  */
-TuneEntry
+Evaluated
 evaluateCandidate(KernelKind kind, const CsrMatrix& m,
-                  const TuneRequest& request, const CostModel& cm)
+                  const TuneRequest& request, const CostModel& cm,
+                  std::optional<Precision> precision)
 {
-    TuneEntry entry;
+    Evaluated out;
+    TuneEntry& entry = out.entry;
     entry.kind = kind;
     entry.name = kernelKindName(kind);
+    entry.precision =
+        precision.value_or(kernelTraits(kind).nativePrecision);
     DTC_TRACE_SCOPE("tuner.candidate");
     static obs::Counter& evaluated =
         obs::metrics::counter("tuner.candidates_evaluated");
@@ -95,13 +106,21 @@ evaluateCandidate(KernelKind kind, const CsrMatrix& m,
     evaluated.add(1);
     try {
         DTC_FAULT_POINT(fault::sites::kTunerPrepare);
-        auto kernel = makeKernel(kind);
+        std::unique_ptr<SpmmKernel> kernel =
+            precision ? makeKernelAt(kind, *precision)
+                      : makeKernel(kind);
+        if (!kernel) {
+            entry.refusal = ErrorCode::Unsupported;
+            entry.reason = "kind cannot express requested precision";
+            refusals.add(1);
+            return out;
+        }
         const Refusal r = kernel->prepare(m);
         if (!r.ok()) {
             entry.refusal = r.code;
             entry.reason = r.reason;
             refusals.add(1);
-            return entry;
+            return out;
         }
         entry.spmmMs = kernel->cost(request.denseWidth, cm).timeMs;
         entry.conversionMs = conversionCost(kind, m, cm);
@@ -110,6 +129,7 @@ evaluateCandidate(KernelKind kind, const CsrMatrix& m,
             entry.conversionMs /
                 static_cast<double>(request.iterations);
         entry.supported = true;
+        out.kernel = std::move(kernel);
     } catch (const DtcError& e) {
         entry.supported = false;
         entry.refusal = e.code();
@@ -121,14 +141,14 @@ evaluateCandidate(KernelKind kind, const CsrMatrix& m,
         entry.reason = e.what();
         refusals.add(1);
     }
-    return entry;
+    return out;
 }
 
 } // namespace
 
 TuneResult
 tuneSpmm(const CsrMatrix& m, const TuneRequest& request,
-         const CostModel& cm)
+         const CostModel& cm, std::optional<Precision> precision)
 {
     DTC_CHECK(request.denseWidth > 0 && request.iterations > 0);
     DTC_TRACE_SCOPE("tuner.tune");
@@ -142,29 +162,42 @@ tuneSpmm(const CsrMatrix& m, const TuneRequest& request,
         request.candidates.empty() ? defaultTuneCandidates()
                                    : request.candidates;
 
+    // The best supported entry so far keeps its prepared kernel; a
+    // strictly faster later entry replaces it, which matches the
+    // stable sort below (ties keep the earlier entry).
     TuneResult result;
+    std::unique_ptr<SpmmKernel> best_kernel;
+    size_t best = 0;
+    auto add = [&](Evaluated ev) {
+        if (ev.entry.supported &&
+            (!best_kernel ||
+             ev.entry.amortizedMs < result.entries[best].amortizedMs)) {
+            best_kernel = std::move(ev.kernel);
+            best = result.entries.size();
+        }
+        result.entries.push_back(std::move(ev.entry));
+    };
     for (KernelKind kind : candidates)
-        result.entries.push_back(
-            evaluateCandidate(kind, m, request, cm));
+        add(evaluateCandidate(kind, m, request, cm, precision));
 
-    const bool any_supported =
-        std::any_of(result.entries.begin(), result.entries.end(),
-                    [](const TuneEntry& e) { return e.supported; });
-    if (!any_supported) {
+    if (!best_kernel) {
         // Graceful degradation: every requested candidate was
         // refused, so append the terminal fallback — the
         // cuSPARSE-like kernel consumes CSR directly and supports
-        // any well-formed matrix.  best() then still returns a
+        // any well-formed matrix (at Fp32: a tune at another
+        // precision refuses it too).  best() then still returns a
         // runnable kernel instead of throwing.
-        TuneEntry fb = evaluateCandidate(KernelKind::CuSparse, m,
-                                         request, cm);
-        if (fb.supported) {
-            fb.name += " (terminal fallback)";
+        Evaluated fb = evaluateCandidate(KernelKind::CuSparse, m,
+                                         request, cm, precision);
+        if (fb.entry.supported) {
+            fb.entry.name += " (terminal fallback)";
             result.fallbackAppended = true;
-            result.entries.push_back(std::move(fb));
+            add(std::move(fb));
             obs::metrics::counter("tuner.fallbacks_appended").add(1);
         }
     }
+    if (best_kernel)
+        result.entries[best].kernel = std::move(best_kernel);
 
     std::stable_sort(result.entries.begin(), result.entries.end(),
                      [](const TuneEntry& a, const TuneEntry& b) {
@@ -172,6 +205,8 @@ tuneSpmm(const CsrMatrix& m, const TuneRequest& request,
                              return a.supported;
                          return a.amortizedMs < b.amortizedMs;
                      });
+    DTC_ASSERT(result.entries.empty() || !result.entries[0].supported ||
+               result.entries[0].kernel);
     return result;
 }
 

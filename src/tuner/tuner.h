@@ -11,11 +11,26 @@
  * by *simulating* every candidate on the cost model and ranking,
  * amortizing one-time conversion cost over the expected number of
  * SpMM executions.
+ *
+ * Costing a candidate means preparing it, so the tuner keeps the
+ * prepared kernel of the best entry so far and drops it as soon as a
+ * later entry beats it (at most two prepared kernels are alive while
+ * tuning).  The winner's kernel rides on the ranking's best entry;
+ * a Runtime built from the ranking adopts it instead of preparing the
+ * same format again.
+ *
+ * A tune at a requested operand precision builds every candidate with
+ * makeKernelAt(kind, precision): a kind that cannot express it (a
+ * CUDA-core kernel at Tf32, TC-GNN at Fp32) becomes a refused
+ * Unsupported entry, and a DTC kernel at Fp32 refuses in prepare(),
+ * so only kernels the request can run are prepared and ranked.
  */
 #ifndef DTC_TUNER_TUNER_H
 #define DTC_TUNER_TUNER_H
 
 #include <cstdint>
+#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -54,6 +69,13 @@ struct TuneEntry
     double spmmMs = 0.0;         ///< Simulated per-execution time.
     double conversionMs = 0.0;   ///< Simulated one-time conversion.
     double amortizedMs = 0.0;    ///< spmm + conversion/iterations.
+    /** Operand precision the candidate was built and costed at. */
+    Precision precision = Precision::Fp32;
+    /**
+     * The prepared kernel; set on the best supported entry only (see
+     * file comment), null on every other entry.
+     */
+    std::shared_ptr<const SpmmKernel> kernel;
 };
 
 /** Tuning outcome: entries sorted by amortized time, best first. */
@@ -90,10 +112,13 @@ std::vector<KernelKind> defaultTuneCandidates();
 
 /**
  * Evaluates every candidate kernel on @p m under @p cm and ranks by
- * amortized per-execution time.
+ * amortized per-execution time.  With @p precision set, candidates
+ * are built at that operand precision and kinds that cannot run it
+ * are refused; unset keeps every kind at its native precision.
  */
 TuneResult tuneSpmm(const CsrMatrix& m, const TuneRequest& request,
-                    const CostModel& cm);
+                    const CostModel& cm,
+                    std::optional<Precision> precision = std::nullopt);
 
 } // namespace dtc
 

@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <vector>
 
+#include "common/rng.h"
 #include "gpusim/arch.h"
 #include "gpusim/cost_model.h"
 #include "gpusim/l2cache.h"
@@ -164,6 +166,110 @@ TEST(L2Cache, ResetClears)
     c.reset();
     EXPECT_EQ(c.hits(), 0);
     EXPECT_FALSE(c.access(0));
+}
+
+/**
+ * The single-pass set lookup L2Cache::access used before its
+ * hit-first scan, kept verbatim as the oracle for the hit/miss
+ * sequence: one loop that looks for the tag and picks the victim
+ * (first empty way, else the first least-recently-used one) as it
+ * goes.
+ */
+class SinglePassL2
+{
+  public:
+    SinglePassL2(int64_t sets, int ways, int64_t line_bytes)
+        : lineBytes(line_bytes), nWays(ways), nSets(sets),
+          tags(static_cast<size_t>(sets) * ways, kInvalid),
+          lastUse(tags.size(), 0)
+    {
+    }
+
+    bool
+    access(uint64_t addr)
+    {
+        tick++;
+        const uint64_t line = addr / static_cast<uint64_t>(lineBytes);
+        const uint64_t set = line & static_cast<uint64_t>(nSets - 1);
+        const size_t base = static_cast<size_t>(set) * nWays;
+        int victim = 0;
+        uint64_t victim_use = ~0ull;
+        for (int w = 0; w < nWays; ++w) {
+            if (tags[base + w] == line) {
+                lastUse[base + w] = tick;
+                return true;
+            }
+            if (tags[base + w] == kInvalid) {
+                if (victim_use != 0) {
+                    victim = w;
+                    victim_use = 0;
+                }
+            } else if (lastUse[base + w] < victim_use) {
+                victim = w;
+                victim_use = lastUse[base + w];
+            }
+        }
+        tags[base + victim] = line;
+        lastUse[base + victim] = tick;
+        return false;
+    }
+
+  private:
+    static constexpr uint64_t kInvalid = ~0ull;
+    int64_t lineBytes;
+    int nWays;
+    int64_t nSets;
+    uint64_t tick = 0;
+    std::vector<uint64_t> tags;
+    std::vector<uint64_t> lastUse;
+};
+
+TEST(L2Cache, HitFirstLookupMatchesSinglePassSequence)
+{
+    // Streams over footprints below, near and far above capacity:
+    // sets fill, thrash, and re-hit lines that survived.  Each access
+    // must hit or miss exactly as the single-pass lookup does.
+    struct Shape
+    {
+        int64_t capacity;
+        int ways;
+        int64_t lineBytes;
+    };
+    const Shape shapes[] = {{64 * 64, 4, 64},
+                            {16 * 128 * 8, 16, 128},
+                            {3 * 64, 3, 64},
+                            {1 << 14, 1, 64}};
+    Rng rng(2718);
+    for (const Shape& sh : shapes) {
+        L2Cache cache(sh.capacity, sh.ways, sh.lineBytes);
+        SinglePassL2 oracle(cache.numSets(), sh.ways, sh.lineBytes);
+        const uint64_t lines = static_cast<uint64_t>(
+            cache.numSets() * sh.ways);
+        int64_t hits = 0;
+        for (uint64_t footprint :
+             {lines / 2, lines, lines + lines / 4, 4 * lines}) {
+            for (int i = 0; i < 20000; ++i) {
+                // Mostly uniform over the footprint, with a hot
+                // head that keeps re-hitting.
+                const uint64_t line =
+                    rng.nextBounded(4) == 0
+                        ? rng.nextBounded(std::max<uint64_t>(
+                              1, footprint / 16))
+                        : rng.nextBounded(footprint);
+                const uint64_t addr =
+                    line * static_cast<uint64_t>(sh.lineBytes) +
+                    rng.nextBounded(static_cast<uint64_t>(
+                        sh.lineBytes));
+                const bool want = oracle.access(addr);
+                ASSERT_EQ(cache.access(addr), want)
+                    << "ways " << sh.ways << " access " << i;
+                hits += want ? 1 : 0;
+            }
+        }
+        EXPECT_EQ(cache.hits(), hits);
+        EXPECT_GT(cache.hits(), 0);
+        EXPECT_GT(cache.misses(), 0);
+    }
 }
 
 TEST(CostModel, MoreWorkMoreCycles)

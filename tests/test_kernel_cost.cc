@@ -8,11 +8,14 @@
  */
 #include <gtest/gtest.h>
 
+#include <bit>
+
 #include "common/rng.h"
 #include "datasets/generators.h"
 #include "datasets/table1.h"
 #include "kernels/dtc.h"
 #include "kernels/kernel.h"
+#include "tuner/tuner.h"
 
 namespace dtc {
 namespace {
@@ -261,6 +264,38 @@ TEST_F(KernelCostTest, L2HitRateReported)
     auto r = runCost(KernelKind::Dtc, a, 128, cm);
     EXPECT_GT(r.l2HitRate, 0.0);
     EXPECT_LE(r.l2HitRate, 1.0);
+}
+
+TEST_F(KernelCostTest, DefaultCandidateTimesMatchRecordedBits)
+{
+    // Every default tuner candidate's simulated launch time, bit for
+    // bit, on two matrices.  The values were recorded with the
+    // single-pass L2 lookup; a lookup that changed any hit/miss would
+    // move the hit rate and with it the time.
+    Rng mrng(31);
+    const CsrMatrix mats[] = {
+        genPowerLaw(3000, 12.0, 1.1, mrng),
+        genCommunity(2048, 16, 16.0, 0.85, mrng),
+    };
+    const uint64_t want[2][5] = {
+        {0x3f853ae859d66ba0ull, 0x3f9594133f066b8bull,
+         0x3f8b2df432efeb61ull, 0x3f923a018b70cfbaull,
+         0x3fa86029e1c00db2ull},
+        {0x3f787a0a3270c466ull, 0x3f8a7eb836df6e30ull,
+         0x3f859267b78187f4ull, 0x3f8896d74f572359ull,
+         0x3f8bc23402ce4084ull},
+    };
+    const std::vector<KernelKind> kinds = defaultTuneCandidates();
+    ASSERT_EQ(kinds.size(), 5u);
+    for (size_t i = 0; i < 2; ++i) {
+        for (size_t k = 0; k < kinds.size(); ++k) {
+            const LaunchResult r = runCost(kinds[k], mats[i], 128, cm);
+            ASSERT_TRUE(r.supported) << kernelKindName(kinds[k]);
+            EXPECT_EQ(std::bit_cast<uint64_t>(r.timeMs), want[i][k])
+                << "matrix " << i << " " << kernelKindName(kinds[k])
+                << " " << r.timeMs;
+        }
+    }
 }
 
 } // namespace

@@ -209,6 +209,46 @@ TEST(ParallelEquivalence, TcaReorderPermutation)
     EXPECT_EQ(r1.numSuperClusters, r8.numSuperClusters);
 }
 
+/** FNV-1a over a TCA result's permutation and cluster counts. */
+uint64_t
+tcaHash(const TcaResult& r)
+{
+    uint64_t h = 0xcbf29ce484222325ull;
+    auto mix = [&](uint64_t v) {
+        for (int i = 0; i < 8; ++i) {
+            h ^= (v >> (8 * i)) & 0xffu;
+            h *= 0x100000001b3ull;
+        }
+    };
+    for (int32_t p : r.permutation)
+        mix(static_cast<uint32_t>(p));
+    mix(static_cast<uint64_t>(r.numClusters));
+    mix(static_cast<uint64_t>(r.numSuperClusters));
+    mix(static_cast<uint64_t>(r.candidatePairsH1));
+    mix(static_cast<uint64_t>(r.candidatePairsH2));
+    return h;
+}
+
+TEST(ParallelEquivalence, TcaReorderMatchesRecordedHash)
+{
+    // Enough Hierarchy-I candidate pairs for several pair-scoring
+    // chunks, so a chunk that scored or queued its pairs out of order
+    // would move the permutation.  The hash was recorded with the
+    // serial pair-scoring loop; any thread count must reproduce it.
+    Rng rng(11);
+    const CsrMatrix m = shuffleLabels(
+        genCommunity(4096, 24, 24.0, 0.85, rng), rng);
+    for (int threads : {1, 4, 8}) {
+        SCOPED_TRACE("threads " + std::to_string(threads));
+        ScopedNumThreads t(threads);
+        const TcaResult r = tcaReorder(m, TcaParams{});
+        EXPECT_GE(r.candidatePairsH1, 3 * kTcaPairGrain);
+        EXPECT_EQ(r.numClusters, 645);
+        EXPECT_EQ(r.numSuperClusters, 208);
+        EXPECT_EQ(tcaHash(r), 0x84f3589529cd5f25ull);
+    }
+}
+
 /**
  * Randomized roundtrip property: random CSR -> SGT/ME-TCF (parallel
  * conversion path) -> reconstructed CSR equals the input, ~100 cases

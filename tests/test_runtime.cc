@@ -6,8 +6,10 @@
  */
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <limits>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/cancel.h"
@@ -609,6 +611,115 @@ TEST_F(RuntimeTest, GuardSampleEnvKnobIsValidated)
     ASSERT_EQ(unsetenv("DTC_GUARD_SAMPLE"), 0);
     runtime::guard::setSampleFraction(-1.0);
     EXPECT_EQ(runtime::guard::sampleFraction(), 0.01); // default
+}
+
+/** Byte-for-byte equality of shape and contents. */
+bool
+bitwiseEqual(const DenseMatrix& x, const DenseMatrix& y)
+{
+    return x.rows() == y.rows() && x.cols() == y.cols() &&
+           std::memcmp(x.data(), y.data(), x.size() * sizeof(float)) ==
+               0;
+}
+
+/** A graph on which DTC-SpMM wins an iterative tune. */
+CsrMatrix
+dtcWinningGraph(Rng& rng)
+{
+    return shuffleLabels(genCommunity(2048, 16, 24.0, 0.9, rng), rng);
+}
+
+RuntimeOptions
+iterativeOptions()
+{
+    RuntimeOptions opt;
+    opt.tune.iterations = 5000;
+    return opt;
+}
+
+TEST_F(RuntimeTest, TuneAndFirstRunPrepareTheWinnerOnce)
+{
+    // The tuner prepared DTC to cost it; the runtime adopts that
+    // kernel instead of converting the matrix again.
+    const CsrMatrix a = dtcWinningGraph(rng);
+    const DenseMatrix b = testing::makeDenseOperand(a.cols(), 32, 5);
+    obs::metrics::reset();
+    Runtime rt(a, cm, iterativeOptions());
+    ASSERT_EQ(rt.tuning().best().kind, KernelKind::Dtc);
+    ASSERT_NE(rt.tuning().best().kernel, nullptr);
+    DenseMatrix c(a.rows(), b.cols());
+    RunReport rep;
+    rt.run(b, c, &rep);
+    EXPECT_EQ(rep.kernel, rt.tuning().best().name);
+    EXPECT_TRUE(rep.failures.empty());
+    EXPECT_EQ(obs::metrics::counterValue("dtc.prepares"), 1u);
+
+    auto own = makeKernel(KernelKind::Dtc);
+    ASSERT_TRUE(own->prepare(a).ok());
+    DenseMatrix want(a.rows(), b.cols());
+    own->compute(b, want);
+    EXPECT_TRUE(bitwiseEqual(c, want));
+}
+
+TEST_F(RuntimeTest, TunedKernelIsNotAdoptedAtAnotherPrecision)
+{
+    // A ranking tuned at native precision carries a Tf32 DTC kernel;
+    // a Bf16 runtime must prepare its own instead of adopting it.
+    const CsrMatrix a = dtcWinningGraph(rng);
+    const DenseMatrix b = testing::makeDenseOperand(a.cols(), 24, 6);
+    const RuntimeOptions base = iterativeOptions();
+    const auto tuned = Runtime::tune(a, base.tune, cm);
+    ASSERT_EQ(tuned->best().kind, KernelKind::Dtc);
+    ASSERT_EQ(tuned->best().precision, Precision::Tf32);
+    ASSERT_NE(tuned->best().kernel, nullptr);
+
+    RuntimeOptions opt = base;
+    opt.precision = Precision::Bf16;
+    Runtime rt(a, tuned, opt);
+    DenseMatrix c(a.rows(), b.cols());
+    RunReport rep;
+    rt.run(b, c, &rep);
+    EXPECT_EQ(rep.precision, Precision::Bf16);
+    DenseMatrix want(a.rows(), b.cols());
+    referenceSpmmRounded(a, b, want, Precision::Bf16);
+    EXPECT_TRUE(bitwiseEqual(c, want));
+}
+
+TEST_F(RuntimeTest, RuntimesSharingOneTuneResultRunConcurrently)
+{
+    // Both runtimes adopt the same prepared kernel; compute() is
+    // const, so two threads may call it at once.
+    const CsrMatrix a = dtcWinningGraph(rng);
+    const RuntimeOptions opt = iterativeOptions();
+    const auto tuned = Runtime::tune(a, opt.tune, cm);
+    ASSERT_NE(tuned->best().kernel, nullptr);
+    constexpr int kRuns = 6;
+    std::vector<DenseMatrix> bs, want;
+    for (int i = 0; i < kRuns; ++i) {
+        bs.push_back(testing::makeDenseOperand(
+            a.cols(), 16, 40 + static_cast<uint64_t>(i)));
+        want.emplace_back(a.rows(), 16);
+        referenceSpmmRounded(a, bs.back(), want.back(), Precision::Tf32);
+    }
+    Runtime rt1(a, tuned, opt);
+    Runtime rt2(a, tuned, opt);
+    bool ok1 = true, ok2 = true;
+    auto drive = [&](Runtime& rt, bool& ok) {
+        for (int i = 0; i < kRuns; ++i) {
+            RunReport rep;
+            DenseMatrix c(a.rows(), 16);
+            rt.run(bs[i], c, &rep);
+            ok = ok && rep.failures.empty() &&
+                 rep.kernel == tuned->best().name &&
+                 bitwiseEqual(c, want[i]);
+        }
+    };
+    std::thread t1([&] { drive(rt1, ok1); });
+    std::thread t2([&] { drive(rt2, ok2); });
+    t1.join();
+    t2.join();
+    EXPECT_TRUE(ok1);
+    EXPECT_TRUE(ok2);
 }
 
 } // namespace

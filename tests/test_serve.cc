@@ -9,9 +9,13 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
+#include <cstring>
 #include <future>
+#include <new>
 #include <thread>
 #include <vector>
 
@@ -23,12 +27,68 @@
 #include "gpusim/cost_model.h"
 #include "obs/metrics.h"
 #include "runtime/guard.h"
+#include "runtime/runtime.h"
 #include "serve/prepared_cache.h"
 #include "serve/service.h"
 #include "testing/oracle.h"
 
+/**
+ * While set, every over-aligned allocation of this test binary (the
+ * storage of DenseMatrix, AlignedVector and AlignedArray) starts as
+ * 0xFF bytes — a NaN in every float — instead of whatever the heap
+ * hands back, which is often zero.  A buffer that is allocated without zeroing and then
+ * not fully written shows up as NaN.
+ */
+std::atomic<bool> g_poisonAligned{false};
+
+void*
+operator new(std::size_t n, std::align_val_t al)
+{
+    const std::size_t align = static_cast<std::size_t>(al);
+    const std::size_t rounded =
+        std::max<std::size_t>(align, (n + align - 1) / align * align);
+    void* p = std::aligned_alloc(align, rounded);
+    if (!p)
+        throw std::bad_alloc();
+    if (g_poisonAligned.load(std::memory_order_relaxed))
+        std::memset(p, 0xFF, n);
+    return p;
+}
+
+void
+operator delete(void* p, std::align_val_t) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete(void* p, std::size_t, std::align_val_t) noexcept
+{
+    std::free(p);
+}
+
 namespace dtc {
 namespace {
+
+/** Poisons aligned allocations for its lifetime (see above). */
+class ScopedPoisonedAllocations
+{
+  public:
+    ScopedPoisonedAllocations() { g_poisonAligned.store(true); }
+    ~ScopedPoisonedAllocations() { g_poisonAligned.store(false); }
+    ScopedPoisonedAllocations(const ScopedPoisonedAllocations&) = delete;
+    ScopedPoisonedAllocations&
+    operator=(const ScopedPoisonedAllocations&) = delete;
+};
+
+/** True when @p x and @p y hold the same shape and bits. */
+bool
+bitwiseEqual(const DenseMatrix& x, const DenseMatrix& y)
+{
+    return x.rows() == y.rows() && x.cols() == y.cols() &&
+           std::memcmp(x.data(), y.data(), x.size() * sizeof(float)) ==
+               0;
+}
 
 using serve::MatrixHandle;
 using serve::PreparedCache;
@@ -336,6 +396,72 @@ TEST_F(ServeTest, ShapeMismatchThrowsInvalidInput)
     } catch (const DtcError& e) {
         EXPECT_EQ(e.code(), ErrorCode::InvalidInput);
     }
+}
+
+TEST_F(ServeTest, BatchOverGarbageBuffersEqualsSoloRuns)
+{
+    // executeBatch allocates wide B, wide C and each member's result
+    // without zeroing them, executeSingle its result, and
+    // Runtime::run(b) its C: pack, compute() and split must write
+    // every element.  Poisoned allocations make any element they miss
+    // a NaN, so the slices would no longer equal the solo runs.
+    {
+        ScopedPoisonedAllocations poison;
+        const DenseMatrix probe = DenseMatrix::uninitialized(4, 4);
+        uint32_t bits;
+        std::memcpy(&bits, probe.data(), sizeof(bits));
+        ASSERT_EQ(bits, 0xFFFFFFFFu) << "poisoning is not in effect";
+    }
+    // 1000 rows: the last row window of the DTC path is partial.
+    const CsrMatrix a = genCommunity(1000, 8, 10.0, 0.85, rng);
+    std::vector<DenseMatrix> panels;
+    for (int i = 0; i < 4; ++i)
+        panels.push_back(testing::makeDenseOperand(
+            a.cols(), 5 + i, 20 + static_cast<uint64_t>(i)));
+    for (Precision p : {Precision::Tf32, Precision::Fp32}) {
+        SCOPED_TRACE(precisionName(p));
+        SpmmService svc(inlineOptions(), &cm);
+        const MatrixHandle h = svc.attach(a);
+        std::vector<DenseMatrix> solo;
+        for (const DenseMatrix& b : panels)
+            solo.push_back(svc.run(h, b, p).c);
+
+        ScopedPoisonedAllocations poison;
+        const std::vector<SubmitResult> batched =
+            svc.runBatch(h, panels, p);
+        ASSERT_EQ(batched.size(), panels.size());
+        for (size_t i = 0; i < panels.size(); ++i) {
+            EXPECT_EQ(batched[i].batchSize, 4);
+            EXPECT_TRUE(bitwiseEqual(batched[i].c, solo[i]))
+                << "panel " << i << " differs from its solo run";
+        }
+        EXPECT_TRUE(bitwiseEqual(svc.run(h, panels[0], p).c, solo[0]));
+
+        runtime::RuntimeOptions ropt;
+        ropt.precision = p;
+        runtime::Runtime rt(a, cm, ropt);
+        EXPECT_TRUE(bitwiseEqual(rt.run(panels[1]), solo[1]));
+    }
+}
+
+TEST_F(ServeTest, Fp32EntryTunesOnlyFp32Kernels)
+{
+    // The entry tunes at its own precision: DTC refuses Fp32 and
+    // TC-GNN cannot express it, so both are refused in the ranking
+    // and neither shows up as a failure of the first request.
+    obs::metrics::reset();
+    const CsrMatrix a = genCommunity(1024, 8, 12.0, 0.85, rng);
+    const DenseMatrix b = testing::makeDenseOperand(a.cols(), 16, 3);
+    SpmmService svc(inlineOptions(), &cm);
+    const MatrixHandle h = svc.attach(a);
+    const SubmitResult r = svc.run(h, b, Precision::Fp32);
+    for (const runtime::RunAttempt& f : r.report.failures)
+        ADD_FAILURE() << f.kernel << ": " << f.detail;
+    EXPECT_EQ(r.report.precision, Precision::Fp32);
+    EXPECT_EQ(obs::metrics::counterValue("metcf.builds"), 0u);
+    EXPECT_EQ(obs::metrics::counterValue("tuner.refusals"), 2u);
+    EXPECT_EQ(
+        obs::metrics::counterValue("runtime.failures.DTC-SpMM"), 0u);
 }
 
 } // namespace

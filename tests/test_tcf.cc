@@ -5,6 +5,9 @@
  */
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "common/parallel.h"
 #include "common/rng.h"
 #include "datasets/generators.h"
 #include "formats/tcf.h"
@@ -110,6 +113,41 @@ TEST(Tcf, ValuesAlignedWithEdges)
     CsrMatrix m = genUniform(100, 4.0, rng);
     TcfMatrix t = TcfMatrix::build(m);
     EXPECT_EQ(t.values(), m.values());
+}
+
+TEST(Tcf, BuildFromSgtEqualsBuildArrayByArray)
+{
+    // Several 64-window chunks of the window-parallel edge arrays,
+    // and a shape other than the default.
+    Rng rng(8);
+    const CsrMatrix m = genPowerLaw(5000, 10.0, 1.1, rng);
+    for (const TcBlockShape shape :
+         {TcBlockShape{}, TcBlockShape{8, 4}}) {
+        TcfMatrix want;
+        {
+            ScopedNumThreads serial(1);
+            want = TcfMatrix::build(m, shape);
+        }
+        for (int threads : {1, 4, 8}) {
+            SCOPED_TRACE("threads " + std::to_string(threads) +
+                         " window " +
+                         std::to_string(shape.windowHeight));
+            ScopedNumThreads nt(threads);
+            const SgtResult sgt = sgtCondense(m, shape);
+            const TcfMatrix t = TcfMatrix::build(m, sgt);
+            EXPECT_EQ(t.rows(), want.rows());
+            EXPECT_EQ(t.cols(), want.cols());
+            EXPECT_EQ(t.numTcBlocks(), want.numTcBlocks());
+            EXPECT_EQ(t.shape().windowHeight, shape.windowHeight);
+            EXPECT_EQ(t.shape().blockWidth, shape.blockWidth);
+            EXPECT_EQ(t.blockPartition(), want.blockPartition());
+            EXPECT_EQ(t.nodePointer(), want.nodePointer());
+            EXPECT_EQ(t.edgeList(), want.edgeList());
+            EXPECT_EQ(t.edgeToColumn(), want.edgeToColumn());
+            EXPECT_EQ(t.edgeToRow(), want.edgeToRow());
+            EXPECT_EQ(t.values(), want.values());
+        }
+    }
 }
 
 } // namespace

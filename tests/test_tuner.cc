@@ -149,5 +149,62 @@ TEST_F(TunerTest, RejectsBadRequest)
     EXPECT_THROW(tuneSpmm(m, req, cm), std::invalid_argument);
 }
 
+TEST_F(TunerTest, OnlyTheBestEntryKeepsItsPreparedKernel)
+{
+    CsrMatrix m = genCommunity(2048, 16, 16.0, 0.85, rng);
+    TuneResult res = tuneSpmm(m, TuneRequest{}, cm);
+    ASSERT_TRUE(res.entries.front().supported);
+    ASSERT_NE(res.entries.front().kernel, nullptr);
+    EXPECT_TRUE(res.entries.front().kernel->prepared());
+    EXPECT_EQ(res.entries.front().kernel->name(),
+              makeKernel(res.entries.front().kind)->name());
+    for (size_t i = 1; i < res.entries.size(); ++i)
+        EXPECT_EQ(res.entries[i].kernel, nullptr) << res.entries[i].name;
+    for (const TuneEntry& e : res.entries)
+        EXPECT_EQ(e.precision, kernelTraits(e.kind).nativePrecision)
+            << e.name;
+}
+
+TEST_F(TunerTest, RequestedPrecisionRefusesKindsThatCannotRunIt)
+{
+    CsrMatrix m = genCommunity(2048, 16, 16.0, 0.85, rng);
+    const TuneResult tf32 =
+        tuneSpmm(m, TuneRequest{}, cm, Precision::Tf32);
+    const TuneResult fp32 =
+        tuneSpmm(m, TuneRequest{}, cm, Precision::Fp32);
+    for (const TuneResult* res : {&tf32, &fp32}) {
+        const Precision p = res == &tf32 ? Precision::Tf32
+                                         : Precision::Fp32;
+        ASSERT_EQ(res->entries.size(), defaultTuneCandidates().size());
+        for (const TuneEntry& e : res->entries) {
+            SCOPED_TRACE(e.name);
+            EXPECT_EQ(e.precision, p);
+            // DTC's kinds express every precision but refuse Fp32
+            // in prepare(); the rest run their native one only.
+            const bool runs =
+                kernelTraits(e.kind).precisionConfigurable
+                    ? p != Precision::Fp32
+                    : kernelTraits(e.kind).nativePrecision == p;
+            EXPECT_EQ(e.supported, runs);
+            if (!runs) {
+                EXPECT_EQ(e.refusal, ErrorCode::Unsupported);
+            }
+        }
+        EXPECT_NE(res->best().kernel, nullptr);
+    }
+    EXPECT_EQ(tf32.supportedEntries().size(), 2u); // DTC, TC-GNN
+    EXPECT_EQ(fp32.supportedEntries().size(), 3u); // CUDA-core kinds
+
+    // An Fp32 request whose only candidate is Tf32-only refuses
+    // everything; the Fp32 cuSPARSE fallback serves it.
+    TuneRequest only_tcgnn;
+    only_tcgnn.candidates = {KernelKind::Tcgnn};
+    const TuneResult fb =
+        tuneSpmm(m, only_tcgnn, cm, Precision::Fp32);
+    EXPECT_TRUE(fb.fallbackAppended);
+    EXPECT_EQ(fb.best().kind, KernelKind::CuSparse);
+    EXPECT_NE(fb.best().kernel, nullptr);
+}
+
 } // namespace
 } // namespace dtc
